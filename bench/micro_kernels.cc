@@ -2,7 +2,8 @@
 // dictionary encoding, stripped-partition construction (row-store vs coded),
 // partition products, g3 error evaluation, bag-Jaccard (string vs coded),
 // probe scans (Value comparisons vs compiled code comparisons), posting-list
-// probe filters (per-row vs column-at-a-time), supertuple
+// probe filters (per-row vs column-at-a-time vs driven from code-pair
+// lists), supertuple
 // construction, value-similarity mining, TANE, and ROCK link computation.
 // These quantify where the offline phases of Table 2 spend their time and
 // prove the dictionary-encoded storage core's win over the row-store
@@ -45,6 +46,7 @@
 #include "util/rng.h"
 #include "util/strings.h"
 #include "webdb/coded_query.h"
+#include "webdb/web_database.h"
 
 namespace aimq {
 namespace {
@@ -338,13 +340,35 @@ void BM_ProbeCandidatesColumnar(benchmark::State& state) {
     for (size_t qi = 0; qi < f.queries.size(); ++qi) {
       const CodedConjunction compiled =
           CodedConjunction::Compile(f.queries[qi], cols);
-      benchmark::DoNotOptimize(
-          compiled.EvaluateCandidates(f.candidates[qi], f.driving_preds[qi]));
+      benchmark::DoNotOptimize(compiled.EvaluateCandidates(
+          f.candidates[qi],
+          CodedConjunction::PredicateSet::Of(f.driving_preds[qi])));
     }
   }
   state.SetItemsProcessed(state.iterations() * f.total_candidates);
 }
 BENCHMARK(BM_ProbeCandidatesColumnar);
+
+void BM_ProbeCandidatesPair(benchmark::State& state) {
+  // The same family through the source itself: WebDatabase::ExecuteRows
+  // validates, compiles, drives from the shortest per-code or code-pair
+  // list and filters the rest column by column. Items stay the per-code
+  // candidates, so ns/item compares directly with the two above.
+  const ProbeFamily& f = CarProbeFamily();
+  static const WebDatabase* db = [] {
+    auto* source =
+        new WebDatabase("CarDB", CarSample(100000).columnar());
+    source->BuildPostingLists();
+    return source;
+  }();
+  for (auto _ : state) {
+    for (const SelectionQuery& q : f.queries) {
+      benchmark::DoNotOptimize(db->ExecuteRows(q));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * f.total_candidates);
+}
+BENCHMARK(BM_ProbeCandidatesPair);
 
 // --- Thread scaling (nightly sweep: --benchmark_filter=Parallel) ------------
 
@@ -544,6 +568,10 @@ int RunMicroKernels(int argc, char** argv) {
                Json::Num(SpeedupOf(reporter.ns_per_op(),
                                    "BM_ProbeCandidatesRow",
                                    "BM_ProbeCandidatesColumnar")));
+  speedups.Set("probe_candidates_pair",
+               Json::Num(SpeedupOf(reporter.ns_per_op(),
+                                   "BM_ProbeCandidatesColumnar",
+                                   "BM_ProbeCandidatesPair")));
   // Scalar-dispatch-ns / active-dispatch-ns for the three simd kernels.
   speedups.Set("simd_partition_build",
                Json::Num(SpeedupAtLargestArg(reporter.ns_per_op(),

@@ -1,8 +1,8 @@
 // Intrusive-list LRU cache. One implementation backs both caching layers of
-// the query path: the engine's Answer() result cache and the probe cache in
-// front of WebDatabase::Execute (src/webdb/probe_cache.h). Not thread-safe
-// by itself — callers that share an LruCache across threads wrap it in a
-// mutex (ProbeCache does).
+// the query path: the engine's Answer() result cache and each stripe of the
+// probe cache in front of WebDatabase::Execute (src/webdb/probe_cache.h).
+// Not thread-safe by itself — callers that share an LruCache across threads
+// wrap it in a mutex (each ProbeCache stripe does).
 
 #ifndef AIMQ_UTIL_LRU_H_
 #define AIMQ_UTIL_LRU_H_
@@ -83,6 +83,24 @@ class LruCache {
     items_.emplace_front(std::move(key), std::move(value));
     index_.emplace(items_.front().first, items_.begin());
     return std::nullopt;
+  }
+
+  /// The least recently used entry, or nullptr when empty. Invalidated by
+  /// the next non-const call.
+  const std::pair<K, V>* Oldest() const {
+    return items_.empty() ? nullptr : &items_.back();
+  }
+
+  /// Evicts the least recently used entry (counted in evictions()) and
+  /// returns its value, or nullopt when empty. Lets a caller that bounds
+  /// several LruCaches by one shared budget pick the victim itself.
+  std::optional<V> EvictOldest() {
+    if (items_.empty()) return std::nullopt;
+    std::optional<V> value(std::move(items_.back().second));
+    index_.erase(items_.back().first);
+    items_.pop_back();
+    ++evictions_;
+    return value;
   }
 
   bool Erase(const K& key) {

@@ -119,6 +119,9 @@ CodedConjunction CodedConjunction::Compile(const SelectionQuery& query,
       }
     }
     out.can_fail_ = out.can_fail_ || c.CanFail();
+    if (c.kind == Kind::kEqCode) {
+      out.eq_order_.push_back(static_cast<uint32_t>(out.preds_.size()));
+    }
     out.preds_.push_back(std::move(c));
   }
   return out;
@@ -261,9 +264,12 @@ Result<std::vector<uint32_t>> CodedConjunction::EvaluateAll() const {
 }
 
 Result<std::vector<uint32_t>> CodedConjunction::EvaluateCandidates(
-    const std::vector<uint32_t>& candidates, size_t satisfied) const {
-  if (!can_fail_) return FilterColumns(candidates, satisfied);
+    std::span<const uint32_t> candidates, PredicateSet satisfied) const {
   std::vector<uint32_t> rows;
+  if (!can_fail_) {
+    FilterCandidates(candidates, satisfied, &rows);
+    return rows;
+  }
   for (uint32_t r : candidates) {
     AIMQ_ASSIGN_OR_RETURN(bool match, EvaluateRow(r));
     if (match) rows.push_back(r);
@@ -271,66 +277,69 @@ Result<std::vector<uint32_t>> CodedConjunction::EvaluateCandidates(
   return rows;
 }
 
-std::vector<uint32_t> CodedConjunction::FilterColumns(
-    const std::vector<uint32_t>& candidates, size_t satisfied) const {
+void CodedConjunction::FilterCandidates(std::span<const uint32_t> candidates,
+                                        PredicateSet satisfied,
+                                        std::vector<uint32_t>* out) const {
   // No predicate can fail, so the order predicates are applied in is
   // unobservable: a row survives iff it satisfies all of them.
   for (const Pred& p : preds_) {
-    if (p.kind == Kind::kNeverMatch) return {};
+    if (p.kind == Kind::kNeverMatch) return;
   }
-  std::vector<uint32_t> sel(candidates.size());
+  const size_t base = out->size();
+  out->resize(base + candidates.size());
+  uint32_t* sel = out->data() + base;
   const uint32_t* in = candidates.data();  // the first pass reads candidates
   size_t n = candidates.size();
   // Equalities first: one code compare per row, and they usually cut the
-  // selection hardest.
-  for (size_t i = 0; i < preds_.size(); ++i) {
+  // selection hardest — the shortest posting list first.
+  for (const uint32_t i : eq_order_) {
+    if (satisfied.Contains(i)) continue;
     const Pred& p = preds_[i];
-    if (p.kind != Kind::kEqCode || i == satisfied) continue;
     const ValueId target = p.target;
     if (data_->packed()) {
-      n = Compact(in, n, sel.data(), [this, &p, target](uint32_t row) {
+      n = Compact(in, n, sel, [this, &p, target](uint32_t row) {
         return data_->CodeAt(p.attr, row) == target;
       });
     } else {
       const ValueId* codes = data_->codes(p.attr).data();
-      n = Compact(in, n, sel.data(), [codes, target](uint32_t row) {
+      n = Compact(in, n, sel, [codes, target](uint32_t row) {
         return codes[row] == target;
       });
     }
-    in = sel.data();
+    in = sel;
   }
-  for (const Pred& p : preds_) {
-    if (p.kind != Kind::kRange) continue;
+  for (size_t i = 0; i < preds_.size(); ++i) {
+    const Pred& p = preds_[i];
+    if (p.kind != Kind::kRange || satisfied.Contains(i)) continue;
     const double t = p.threshold;
     switch (p.op) {
       case CompareOp::kLt:
         n = CompactRange(*data_, p.attr, [t](double a) { return a < t; }, in,
-                         n, sel.data());
+                         n, sel);
         break;
       case CompareOp::kLe:
         n = CompactRange(*data_, p.attr, [t](double a) { return a <= t; }, in,
-                         n, sel.data());
+                         n, sel);
         break;
       case CompareOp::kGt:
         n = CompactRange(*data_, p.attr, [t](double a) { return a > t; }, in,
-                         n, sel.data());
+                         n, sel);
         break;
       case CompareOp::kGe:
         n = CompactRange(*data_, p.attr, [t](double a) { return a >= t; }, in,
-                         n, sel.data());
+                         n, sel);
         break;
       default:  // kRange is never compiled from kEq or kLike
         n = 0;
         break;
     }
-    in = sel.data();
+    in = sel;
   }
-  if (in != sel.data()) {
-    // Only the satisfied predicate (or none) applied: every candidate holds.
-    std::copy(candidates.begin(), candidates.end(), sel.begin());
+  if (in != sel) {
+    // Every predicate was satisfied up front: every candidate holds.
+    std::copy(candidates.begin(), candidates.end(), sel);
   }
-  sel.resize(n);
-  return sel;
+  out->resize(base + n);
 }
 
 }  // namespace aimq

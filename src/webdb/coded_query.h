@@ -19,7 +19,9 @@
 #ifndef AIMQ_WEBDB_CODED_QUERY_H_
 #define AIMQ_WEBDB_CODED_QUERY_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "query/selection_query.h"
@@ -54,16 +56,64 @@ class CodedConjunction {
   /// compares. Results are bit-identical to the per-row path.
   Result<std::vector<uint32_t>> EvaluateAll() const;
 
+  /// A set of predicate indices: the predicates every candidate is known
+  /// to satisfy, because the candidates are the posting list of one
+  /// equality or the code-pair list of two. Indices past 63 are never
+  /// members; such predicates are simply checked again.
+  class PredicateSet {
+   public:
+    PredicateSet() = default;
+    static PredicateSet Of(size_t i) {
+      PredicateSet set;
+      set.Add(i);
+      return set;
+    }
+    void Add(size_t i) {
+      if (i < 64) bits_ |= uint64_t{1} << i;
+    }
+    bool Contains(size_t i) const { return i < 64 && ((bits_ >> i) & 1) != 0; }
+
+   private:
+    uint64_t bits_ = 0;
+  };
+
   /// Evaluates only \p candidates (ascending row ids), keeping matches.
-  /// \p satisfied names a kEqCode predicate every candidate is known to
-  /// satisfy — the predicate whose posting list \p candidates is — or is
-  /// SIZE_MAX. When no predicate can fail (kEqCode, kNeverMatch, or kRange
-  /// over an all-numeric dictionary) the conjunction is applied one column
-  /// at a time: each predicate (equalities first, \p satisfied skipped)
-  /// compacts a selection vector without branches. Otherwise the per-row
-  /// path runs, so error ordering and Status text match EvaluateRow exactly.
+  /// \p satisfied names predicates every candidate is known to satisfy.
+  /// When no predicate can fail (see CanFail) the conjunction is applied
+  /// one column at a time by FilterCandidates. Otherwise the per-row path
+  /// runs over every candidate, so error ordering and Status text match
+  /// EvaluateRow exactly.
   Result<std::vector<uint32_t>> EvaluateCandidates(
-      const std::vector<uint32_t>& candidates, size_t satisfied) const;
+      std::span<const uint32_t> candidates, PredicateSet satisfied) const;
+
+  /// Column-at-a-time filter: appends the rows of \p candidates (ascending)
+  /// that satisfy the conjunction to *out, in order. Each predicate not in
+  /// \p satisfied compacts a selection vector without branches: equalities
+  /// first, in OrderEqualities order, then ranges. Requires !CanFail(), so
+  /// the order predicates are applied in is unobservable. \p candidates may
+  /// be one of several ascending runs of one probe (the source's posting
+  /// lists are split into row-range segments); appending keeps the answer
+  /// ascending.
+  void FilterCandidates(std::span<const uint32_t> candidates,
+                        PredicateSet satisfied,
+                        std::vector<uint32_t>* out) const;
+
+  /// True when some row could make the conjunction return an error Status
+  /// (kErrorUnlessNull, kCompileError, or kRange over a dictionary holding a
+  /// non-numeric value). Such conjunctions are evaluated row by row.
+  bool CanFail() const { return can_fail_; }
+
+  /// Orders the equalities FilterCandidates applies by ascending
+  /// \p rank(i) for predicate i (stable: query order on ties). The source
+  /// ranks by posting-list length, so the most selective equality cuts the
+  /// selection first. Compile leaves them in query order.
+  template <typename RankFn>
+  void OrderEqualities(RankFn rank) {
+    std::stable_sort(eq_order_.begin(), eq_order_.end(),
+                     [&rank](uint32_t a, uint32_t b) {
+                       return rank(a) < rank(b);
+                     });
+  }
 
   size_t NumPredicates() const { return preds_.size(); }
 
@@ -104,11 +154,6 @@ class CodedConjunction {
     }
   };
 
-  // Column-at-a-time form of EvaluateCandidates for conjunctions whose
-  // predicates cannot fail.
-  std::vector<uint32_t> FilterColumns(const std::vector<uint32_t>& candidates,
-                                      size_t satisfied) const;
-
   // Shared conjunctive evaluation of one row. \p code_at(i, pred) supplies
   // the row's code for preds_[i]'s attribute; the row path reads it through
   // CodeAt, the window path through block-local pointers. Defined in the
@@ -118,6 +163,9 @@ class CodedConjunction {
 
   const ColumnarRelation* data_ = nullptr;
   std::vector<Pred> preds_;
+  // Indices of the kEqCode predicates, in the order FilterCandidates
+  // applies them.
+  std::vector<uint32_t> eq_order_;
   bool can_fail_ = false;  // some predicate's CanFail()
 };
 

@@ -12,13 +12,25 @@
 // 10k tuples caches as 40 kB of integers, not 10k materialized Tuples.
 //
 // The cache is safe for concurrent Execute() calls — the engine's parallel
-// relaxation fan-out and concurrent query sessions share one instance. The
-// mutex guards only map bookkeeping, never the source probe itself: two
-// threads that miss the same key simultaneously may both probe the source
-// (the second insert overwrites with identical data), which trades a rare
-// duplicate probe for never serializing probe latency. Keys are hashed and
-// row vectors copied and freed outside the mutex: probes take microseconds,
-// so every relaxation thread takes it hundreds of times per query.
+// relaxation fan-out and concurrent query sessions share one instance. It
+// is split into kStripes stripes selected by key hash; each stripe has its
+// own mutex, index, LRU list and in-flight flights, so threads probing
+// different keys rarely meet on a lock. The stripe mutex guards only
+// bookkeeping, never the source probe itself: two threads that miss the same
+// key simultaneously may both probe the source (the second insert
+// overwrites with identical data), which trades a rare duplicate probe for
+// never serializing probe latency. Keys are hashed and row vectors copied
+// and freed outside the mutex: probes take microseconds, so every
+// relaxation thread takes a stripe lock hundreds of times per query.
+//
+// Capacity is global, not per stripe. Every Get hit and Put stamps its entry
+// from one atomic counter, each stripe publishes its least recent entry's
+// stamp, and a Put that takes the total over capacity evicts the tail with
+// the globally smallest stamp. Driven by one thread this evicts exactly the
+// entries a single LRU of the same capacity would, so hits, misses,
+// evictions and the paper figures' probe counts do not depend on the
+// striping; under concurrency the victim is the oldest tail at the moment
+// it is chosen.
 //
 // EnableCoalescing(true) switches that trade around with a group-commit
 // style in-flight table: the first thread to miss a key becomes the probe's
@@ -33,6 +45,8 @@
 #ifndef AIMQ_WEBDB_PROBE_CACHE_H_
 #define AIMQ_WEBDB_PROBE_CACHE_H_
 
+#include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -75,17 +89,13 @@ class ProbeCache {
  public:
   /// \p capacity is the number of distinct queries retained; 0 makes the
   /// cache a pass-through (every Execute probes the source).
-  explicit ProbeCache(size_t capacity)
-      : capacity_(capacity), cache_(capacity) {}
+  explicit ProbeCache(size_t capacity) : capacity_(capacity) {}
 
   ProbeCache(const ProbeCache&) = delete;
   ProbeCache& operator=(const ProbeCache&) = delete;
 
-  /// Source-independent canonical key: the query's predicates rendered and
-  /// sorted, so predicate order does not produce distinct entries. Kept for
-  /// callers that memoize without a WebDatabase at hand; the cache itself
-  /// keys on WebDatabase::CodedProbeKey.
-  static std::string CanonicalKey(const SelectionQuery& query);
+  /// Number of lock stripes (a power of two).
+  static constexpr size_t kStripes = 16;
 
   /// Serves \p query's row ids from the cache, or forwards the probe to
   /// \p db and caches the answer. \p hit (optional) reports whether the
@@ -136,7 +146,7 @@ class ProbeCache {
  private:
   using Rows = std::shared_ptr<const std::vector<uint32_t>>;
 
-  // A coded probe key and its hash, computed once, outside mu_.
+  // A coded probe key and its hash, computed once, outside any lock.
   struct Key {
     std::string text;
     size_t hash = 0;
@@ -160,29 +170,60 @@ class ProbeCache {
     size_t waiters = 0;
   };
 
-  // Cached answer plus the snapshot version it was probed against (used
-  // only by EvictVersionsBelow; version match on lookup is implied by the
-  // key, which embeds snapshot version + uid). The rows are shared with the
-  // flight that probed them and copied out only after mu_ is released.
+  // Cached answer, the snapshot version it was probed against (used only by
+  // EvictVersionsBelow; version match on lookup is implied by the key, which
+  // embeds snapshot version + uid) and its recency stamp. The rows are
+  // shared with the flight that probed them and copied out only after the
+  // stripe lock is released.
   struct Entry {
     Rows rows;
     uint64_t version = 0;
+    uint64_t stamp = 0;
   };
 
-  const size_t capacity_;  // immutable; readable without mu_
-  mutable std::mutex mu_;
-  LruCache<Key, Entry, KeyHash> cache_;  // guarded by mu_
-  ProbeCacheStats stats_;                // guarded by mu_
-  bool coalesce_ = false;                // guarded by mu_
-  // Probes in flight; at most one per probing thread, so a linear scan
-  // finds a key. Flights are shared so one outlives its slot while
-  // followers still hold it. Guarded by mu_; followers wait on the flight's
-  // cv with mu_ held (released while waiting).
-  std::vector<std::shared_ptr<Flight>> flights_;
+  // Published tail stamp of an empty stripe.
+  static constexpr uint64_t kNoTail = UINT64_MAX;
 
-  // flights_ lookup and removal; callers hold mu_.
-  std::shared_ptr<Flight> FindFlight(const Key& key) const;
-  void EraseFlight(const Flight* flight);
+  struct alignas(64) Stripe {
+    mutable std::mutex mu;
+    // Unbounded per stripe: the global budget evicts across stripes.
+    LruCache<Key, Entry, KeyHash> lru{SIZE_MAX};  // guarded by mu
+    ProbeCacheStats stats;                        // guarded by mu
+    // Probes in flight; at most one per probing thread, so a linear scan
+    // finds a key. Flights are shared so one outlives its slot while
+    // followers still hold it. Guarded by mu; followers wait on the
+    // flight's cv with mu held (released while waiting).
+    std::vector<std::shared_ptr<Flight>> flights;
+    // Stamp of lru's least recent entry (kNoTail when empty); written under
+    // mu, read without it when choosing an eviction victim.
+    std::atomic<uint64_t> tail_stamp{kNoTail};
+
+    // Callers hold mu.
+    std::shared_ptr<Flight> FindFlight(const Key& key) const;
+    void EraseFlight(const Flight* flight);
+    void PublishTail();
+  };
+
+  // Mixed high hash bits: each stripe's index buckets on the low ones.
+  static size_t StripeIndex(const Key& key) {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(key.hash) * 0x9E3779B97F4A7C15ull) >> 60);
+  }
+
+  // Evicts globally least recent entries while the total exceeds capacity.
+  void EvictOverCapacity();
+
+  static_assert(kStripes == 16, "StripeIndex takes the top 4 hash bits");
+
+  const size_t capacity_;  // immutable; readable without a lock
+  std::array<Stripe, kStripes> stripes_;
+  std::atomic<bool> coalesce_{false};
+  // Recency clock: every Get hit and Put takes the next stamp.
+  std::atomic<uint64_t> clock_{0};
+  // Entries present minus evictions claimed but not yet carried out. Signed:
+  // a Clear() racing a claimed eviction drives it below zero until the
+  // claimant gives its claim back.
+  std::atomic<int64_t> size_{0};
 };
 
 }  // namespace aimq

@@ -8,8 +8,10 @@
 //
 // Internally the source evaluates queries over its dictionary-encoded
 // columnar snapshot: each query compiles to a CodedConjunction once, and the
-// candidate scan is driven from per-code posting lists, whose rows the other
-// predicates then filter one column at a time. ExecuteRows is the primary
+// candidate scan is driven from the shortest posting list the query's
+// equalities select — a per-code list of one attribute, or a code-pair list
+// of two categorical attributes — whose rows the other predicates then
+// filter one column at a time. ExecuteRows is the primary
 // (row-id) entry point; the Tuple-returning Execute is a materializing
 // wrapper kept for edges (wire protocol, reports, data collection).
 
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "query/selection_query.h"
@@ -80,15 +83,25 @@ class WebDatabase {
         cols_(std::move(cols)) {}
   virtual ~WebDatabase() = default;
 
-  /// Materializes per-code posting lists from the columnar snapshot (one
-  /// streaming pass over all code columns), enabling index-assisted probe
-  /// evaluation for packed sources too. Resident cost is ~4 bytes per
-  /// non-null cell, which is why it is opt-in for packed snapshots — a
+  /// Materializes posting lists from the columnar snapshot (one streaming
+  /// pass over all code columns), enabling index-assisted probe evaluation
+  /// for packed sources too: per-code lists for every attribute, and
+  /// code-pair lists for every unordered pair of categorical attributes
+  /// whose code-pair space has at most kMaxPairCells cells. Resident cost
+  /// per row is ~4 bytes per non-null cell plus ~4 bytes per indexed
+  /// categorical attribute pair (CarDB: 28 + 40 bytes), plus a 4-byte range
+  /// entry per code-pair cell — which is why it is opt-in for packed
+  /// snapshots: a
   /// row-range *shard* of a 10M-tuple source affords it where the whole
   /// source cannot. Idempotent; answers are identical with or without
   /// postings (only the scan strategy changes). Not thread-safe against
   /// in-flight queries: call before serving.
   void BuildPostingLists();
+
+  /// Largest code-pair space (product of the two dictionaries' sizes) an
+  /// attribute pair is indexed for; the pair's probes drive from per-code
+  /// lists otherwise. Bounds each pair's dense range table at 64 KiB.
+  static constexpr size_t kMaxPairCells = size_t{1} << 14;
 
   /// True when per-code posting lists back ExecuteRows' candidate scans.
   bool has_posting_lists() const { return !postings_.empty(); }
@@ -97,7 +110,11 @@ class WebDatabase {
   /// §5i): reuses \p prev's posting lists — valid because this source's
   /// snapshot extends prev's (append-only dictionaries keep every old code's
   /// meaning, and delta row ids exceed all of prev's, so per-code ascending
-  /// order is preserved by appending) — and scans only the delta rows.
+  /// order is preserved by appending) — and scans only the delta rows. The
+  /// per-code lists are copied; the code-pair lists are row-range segments
+  /// shared with prev, and the delta becomes a new segment, merged with the
+  /// trailing segments no larger than it (a binary counter: O(log rows)
+  /// segments, each row re-indexed O(log rows) times).
   /// Requires prev's snapshot to be a version-ancestor of this one with
   /// prev.NumTuples() <= NumTuples(); falls back to a full build when prev
   /// has no postings. Not thread-safe against in-flight queries: call before
@@ -116,7 +133,7 @@ class WebDatabase {
   /// Executes a precise conjunctive query and returns the ids of matching
   /// rows (ascending). Queries containing 'like' predicates are rejected:
   /// the source only supports the boolean model. Safe to call concurrently:
-  /// the per-code posting lists are immutable after construction and probe
+  /// the posting lists are immutable after construction and probe
   /// accounting is atomic.
   virtual Result<std::vector<uint32_t>> ExecuteRows(
       const SelectionQuery& query) const;
@@ -148,7 +165,8 @@ class WebDatabase {
   /// Canonical cache key for \p query against this source: predicates
   /// pre-resolved to dictionary codes and sorted, prefixed with the identity
   /// of the columnar snapshot the codes (and any cached row ids) are
-  /// relative to. Predicate order never produces distinct keys.
+  /// relative to. Predicate order never produces distinct keys. Built in
+  /// one buffer; predicates are sorted as small fixed-size records.
   std::string CodedProbeKey(const SelectionQuery& query) const;
 
   /// The dictionary-encoded snapshot the source evaluates against.
@@ -160,6 +178,10 @@ class WebDatabase {
   /// (0 outside live ingest). Probe-cache entries record it so superseded
   /// versions can be aged out on publish.
   uint64_t SnapshotVersion() const { return cols_->snapshot_version(); }
+
+  /// Resident bytes of the code-pair posting lists (row ids plus range
+  /// tables; segments shared with other versions are counted in full).
+  size_t PairIndexBytes() const;
 
   /// Probe accounting across all Execute calls.
   const ProbeStats& stats() const { return stats_; }
@@ -193,11 +215,31 @@ class WebDatabase {
   // would; clients cannot observe them except through response times.
   void BuildIndexes();
 
+  // Code-pair posting lists of one row range, for every indexed attribute
+  // pair, and its builder. Immutable; versions share it (web_database.cc).
+  struct PairSegment;
+  class PairSegmentBuilder;
+
+  // Lists the categorical attribute pairs and sizes pair_slot_.
+  void InitPairs();
+  // Rebuilds pair_usable_ from segments_.
+  void UpdatePairUsable();
+
   std::string name_;
   Relation data_;
   std::shared_ptr<const ColumnarRelation> cols_;
   // postings_[attr][code] -> ascending row ids holding that code.
   std::vector<std::vector<std::vector<uint32_t>>> postings_;
+  // Categorical attribute pairs (a < b), in slot order.
+  std::vector<std::pair<uint32_t, uint32_t>> pairs_;
+  // pair_slot_[a * NumAttributes() + b] -> slot of pair (a, b), a < b, or
+  // UINT32_MAX when a or b is not categorical.
+  std::vector<uint32_t> pair_slot_;
+  // Code-pair lists as ascending, contiguous row-range segments covering
+  // every row; empty when there are no posting lists.
+  std::vector<std::shared_ptr<const PairSegment>> segments_;
+  // pair_usable_[slot]: every segment indexes the pair.
+  std::vector<uint8_t> pair_usable_;
   mutable ProbeStats stats_;
 };
 

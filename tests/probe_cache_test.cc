@@ -8,6 +8,7 @@
 
 #include "util/lru.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 
 namespace aimq {
 namespace {
@@ -69,8 +70,6 @@ TEST(ProbeCacheTest, EquivalentQueriesShareOneEntry) {
                           Predicate::Eq("Model", Value::Cat("Camry"))});
   SelectionQuery reversed({Predicate::Eq("Model", Value::Cat("Camry")),
                            Predicate::Eq("Make", Value::Cat("Toyota"))});
-  EXPECT_EQ(ProbeCache::CanonicalKey(forward),
-            ProbeCache::CanonicalKey(reversed));
 
   ASSERT_TRUE(cache.Execute(db, forward).ok());
   bool hit = false;
@@ -236,6 +235,60 @@ TEST(LruCacheTest, PutReturnsWhatItDisplacesAndKeepsLruOrder) {
   LruCache<std::string, int> none(0);
   EXPECT_EQ(none.Put("a", 9), 9);  // dropped: handed straight back
   EXPECT_EQ(none.size(), 0u);
+}
+
+TEST(ProbeCacheTest, SerialStripedCacheIsExactLru) {
+  // The striped cache against a single reference LruCache of the same
+  // capacity, driven by one thread through one seeded lookup sequence:
+  // global recency stamps must make it evict exactly the same keys.
+  constexpr size_t kCapacity = 8;
+  constexpr size_t kKeys = 64;
+  Relation data(TwoColumnSchema());
+  for (size_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(data.Append(Tuple({Value::Cat("Make" + std::to_string(k)),
+                                   Value::Cat("M")}))
+                    .ok());
+  }
+  const WebDatabase db("KeyDB", std::move(data));
+  std::vector<SelectionQuery> queries;
+  for (size_t k = 0; k < kKeys; ++k) {
+    queries.push_back(MakeQuery("Make" + std::to_string(k)));
+  }
+
+  ProbeCache cache(kCapacity);
+  LruCache<size_t, size_t> reference(kCapacity);
+  uint64_t hits = 0, misses = 0;
+  Rng rng(20260);
+  for (size_t step = 0; step < 10000; ++step) {
+    // Skewed toward a few hot keys, so both hits and evictions are common.
+    const size_t k = rng.Bernoulli(0.5) ? rng.Uniform(kCapacity + 2)
+                                        : rng.Uniform(kKeys);
+    bool hit = false;
+    auto rows = cache.ExecuteRows(db, queries[k], &hit);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows->size(), 1u);
+    const bool want_hit = reference.Get(k) != nullptr;
+    if (want_hit) {
+      ++hits;
+    } else {
+      ++misses;
+      reference.Put(k, k);
+    }
+    ASSERT_EQ(hit, want_hit) << "step " << step;
+    const ProbeCacheStats stats = cache.stats();
+    ASSERT_EQ(stats.hits, hits) << "step " << step;
+    ASSERT_EQ(stats.misses, misses) << "step " << step;
+    ASSERT_EQ(stats.evictions, reference.evictions()) << "step " << step;
+    ASSERT_EQ(cache.size(), reference.size()) << "step " << step;
+    // The resident set is the same, so so is every evicted key.
+    for (size_t key = 0; key < kKeys; ++key) {
+      ASSERT_EQ(cache.Contains(db, queries[key]),
+                reference.Peek(key) != nullptr)
+          << "step " << step << " key " << key;
+    }
+  }
+  EXPECT_GT(hits, 1000u);
+  EXPECT_GT(reference.evictions(), 1000u);
 }
 
 TEST(ProbeCacheTest, ConcurrentEvictionKeepsAnswersAndCounts) {

@@ -2,8 +2,11 @@
 // WebDatabase::ExecuteRows driven from posting lists, a full
 // CodedConjunction::EvaluateAll scan, and SelectionQuery::Evaluate over the
 // row store — on plain data, on packed data after BuildPostingLists, on a
-// live snapshot grown by ColumnarRelation::Extend + ExtendPostingLists, and
-// under forced-scalar dispatch. Row ids and Status must match.
+// live snapshot grown by several ColumnarRelation::Extend +
+// ExtendPostingLists publishes, and under forced-scalar dispatch. Row ids
+// and Status must match. A second mix — Algorithm 1's relaxation families
+// plus hand-picked corners — exercises probes the source drives from
+// code-pair lists.
 //
 // Errors are per evaluated row: a posting list restricts which rows are
 // evaluated, so a candidate-driven probe is compared against the row store
@@ -22,6 +25,7 @@
 #include "query/selection_query.h"
 #include "relation/columnar.h"
 #include "relation/relation.h"
+#include "core/relaxation.h"
 #include "simd/dispatch.h"
 #include "util/rng.h"
 #include "webdb/coded_query.h"
@@ -259,9 +263,11 @@ void ExpectProbeAgrees(const SelectionQuery& q, const Relation& rel,
     if (!IsPostingPredicate(cols.schema(), preds[i])) continue;
     const std::vector<uint32_t> rows = PostingList(rel, preds[i]);
     const std::string want = Render(RowStoreOver(q, rel, rows));
-    EXPECT_EQ(Render(compiled.EvaluateCandidates(rows, i)), want)
+    EXPECT_EQ(Render(compiled.EvaluateCandidates(
+                  rows, CodedConjunction::PredicateSet::Of(i))),
+              want)
         << label << " driven by predicate " << i;
-    EXPECT_EQ(Render(compiled.EvaluateCandidates(rows, SIZE_MAX)), want)
+    EXPECT_EQ(Render(compiled.EvaluateCandidates(rows, {})), want)
         << label << " over predicate " << i << "'s rows, none skipped";
     if (full.rfind("OK", 0) == 0) {
       EXPECT_EQ(want, full) << label;
@@ -291,7 +297,10 @@ void ExpectProbeAgrees(const SelectionQuery& q, const Relation& rel,
 
 // The three sources over the same rows: plain (postings built by the
 // constructor), packed with BuildPostingLists, and a live snapshot grown
-// from the first rows by Extend + ExtendPostingLists.
+// from the first rows by several Extend + ExtendPostingLists publishes of
+// uneven size, so its code-pair segments are shared, merged and left
+// unmerged. Some delta rows carry a Make the base never stored, so older
+// segments lack its codes.
 struct Sources {
   Relation rows;
   std::vector<std::pair<std::string, std::unique_ptr<WebDatabase>>> dbs;
@@ -300,7 +309,9 @@ struct Sources {
 Sources BuildSources(uint64_t seed, bool dirty) {
   constexpr size_t kBaseRows = 500;
   constexpr size_t kDeltaRows = 200;
+  const std::vector<size_t> kPublishes = {50, 50, 30, 50, 20};
   Rng rng(seed);
+  Rng fresh(seed + 1000);
   Sources s;
   s.rows = Relation(TestSchema());
   Relation base(TestSchema());
@@ -312,6 +323,7 @@ Sources BuildSources(uint64_t seed, bool dirty) {
   }
   for (size_t r = 0; r < kDeltaRows; ++r) {
     Tuple t = RandomRow(rng, /*unvalidated=*/false, dirty);
+    if (fresh.Bernoulli(0.1)) t.At(0) = Value::Cat("Seat");
     delta.push_back(t);
     s.rows.AppendUnchecked(std::move(t));
   }
@@ -330,12 +342,21 @@ Sources BuildSources(uint64_t seed, bool dirty) {
   packed_db->BuildPostingLists();
   s.dbs.emplace_back("packed", std::move(packed_db));
 
-  const WebDatabase base_db("Live", std::move(base));
-  auto grown =
-      ColumnarRelation::Extend(*base_db.columnar(), delta, /*new_version=*/1);
-  EXPECT_TRUE(grown.ok()) << grown.status().ToString();
-  auto live_db = std::make_unique<WebDatabase>("Live", grown.ValueOrDie());
-  live_db->ExtendPostingLists(base_db);
+  auto live_db = std::make_unique<WebDatabase>("Live", std::move(base));
+  size_t published = 0;
+  uint64_t version = 0;
+  for (const size_t batch : kPublishes) {
+    const std::vector<Tuple> part(delta.begin() + published,
+                                  delta.begin() + published + batch);
+    published += batch;
+    auto grown = ColumnarRelation::Extend(*live_db->columnar(), part,
+                                          /*new_version=*/++version);
+    EXPECT_TRUE(grown.ok()) << grown.status().ToString();
+    auto next = std::make_unique<WebDatabase>("Live", grown.ValueOrDie());
+    next->ExtendPostingLists(*live_db);
+    live_db = std::move(next);  // the next version shares its segments
+  }
+  EXPECT_EQ(published, kDeltaRows);
   s.dbs.emplace_back("live", std::move(live_db));
   return s;
 }
@@ -393,6 +414,117 @@ TEST(ProbeEvalTest, MixCoversEveryPath) {
   EXPECT_GT(empty, 50u);
   EXPECT_GT(errors, 20u);
   EXPECT_GT(rejected, 5u);
+}
+
+bool IsCategorical(const Schema& schema, const Predicate& p) {
+  return schema.attribute(schema.IndexOf(p.attribute).ValueOrDie()).type ==
+         AttrType::kCategorical;
+}
+
+// True when two equalities on distinct categorical attributes select fewer
+// rows together than any one equality alone: a probe the source drives from
+// a code-pair list unless it can fail.
+bool PairListIsShorter(const SelectionQuery& q, const Relation& rel) {
+  const Schema& schema = rel.schema();
+  const std::vector<Predicate>& preds = q.predicates();
+  size_t single = SIZE_MAX, pair = SIZE_MAX;
+  for (size_t i = 0; i < preds.size(); ++i) {
+    if (!IsPostingPredicate(schema, preds[i])) continue;
+    const std::vector<uint32_t> rows = PostingList(rel, preds[i]);
+    single = std::min(single, rows.size());
+    if (!IsCategorical(schema, preds[i])) continue;
+    for (size_t j = i + 1; j < preds.size(); ++j) {
+      if (!IsPostingPredicate(schema, preds[j]) ||
+          !IsCategorical(schema, preds[j]) ||
+          preds[j].attribute == preds[i].attribute) {
+        continue;
+      }
+      const size_t attr_j = schema.IndexOf(preds[j].attribute).ValueOrDie();
+      size_t both = 0;
+      for (uint32_t r : rows) {
+        if (rel.tuple(r).At(attr_j) == preds[j].value) ++both;
+      }
+      pair = std::min(pair, both);
+    }
+  }
+  return pair < single;
+}
+
+// Algorithm 1's relaxation families of a few base and delta rows, at the
+// engine's 10% numeric band and at numeric_band = 0 (numeric equalities),
+// plus hand-picked pair probes: null constants, absent codes, a code only
+// the delta stored, two predicates on one attribute, and conjunctions that
+// can fail.
+std::vector<SelectionQuery> PairProbeMix(const Relation& rows) {
+  const Schema& schema = rows.schema();
+  std::vector<size_t> order(schema.NumAttributes());
+  for (size_t a = 0; a < order.size(); ++a) order[a] = a;
+  std::vector<SelectionQuery> probes;
+  for (size_t row : {0u, 7u, 123u, 499u, 510u, 577u, 650u, 699u}) {
+    for (double band : {0.0, 0.10}) {
+      TupleRelaxer relaxer(schema, rows.tuple(row), order,
+                           /*max_relax_attrs=*/0, band);
+      while (relaxer.HasNext()) probes.push_back(relaxer.Next());
+    }
+  }
+  const Predicate ford = Predicate::Eq("Make", Value::Cat("Ford"));
+  const Predicate kia = Predicate::Eq("Make", Value::Cat("Kia"));
+  const Predicate model_a = Predicate::Eq("Model", Value::Cat("A"));
+  const Predicate grade_2 = Predicate::Eq("Grade", Value::Num(2));
+  const std::vector<std::vector<Predicate>> corners = {
+      {ford, model_a},
+      {model_a, ford, grade_2},
+      {Predicate::Eq("Make", Value()), model_a},
+      {ford, Predicate::Eq("Model", Value())},
+      {Predicate::Eq("Make", Value::Cat("NoSuchMake")), model_a},
+      {Predicate::Eq("Make", Value::Cat("Seat")), model_a},
+      {Predicate::Eq("Make", Value::Cat("Seat")), grade_2},
+      {ford, kia, model_a},
+      {ford, ford, model_a},
+      {ford, model_a, Predicate::Eq("Price", Value::Num(500.0))},
+      {ford, model_a, Predicate::Eq("Price", Value::Num(-0.0))},
+      {ford, model_a, Predicate("Price", CompareOp::kGe, Value::Num(1000.0)),
+       Predicate("Price", CompareOp::kLe, Value::Num(5000.0))},
+      {ford, model_a,
+       Predicate("Mileage", CompareOp::kLt, Value::Num(50000.0))},
+      {kia, grade_2, Predicate("Price", CompareOp::kLt, Value::Cat("cheap"))},
+      {kia, grade_2, Predicate("Grade", CompareOp::kGe, Value::Num(1.0))},
+  };
+  for (const std::vector<Predicate>& preds : corners) {
+    probes.emplace_back(preds);
+  }
+  return probes;
+}
+
+TEST(ProbeEvalTest, PairDrivenProbes) {
+  for (const bool dirty : {false, true}) {
+    const Sources s = BuildSources(dirty ? 12 : 11, dirty);
+    const std::vector<SelectionQuery> probes = PairProbeMix(s.rows);
+    // Guards the mix: many probes must be ones a code-pair list drives.
+    size_t pair_driven = 0;
+    for (const SelectionQuery& q : probes) {
+      if (PairListIsShorter(q, s.rows)) ++pair_driven;
+    }
+    EXPECT_GT(pair_driven, 40u);
+    for (const auto& [name, db] : s.dbs) {
+      for (size_t qi = 0; qi < probes.size(); ++qi) {
+        ExpectProbeAgrees(probes[qi], s.rows, *db,
+                          name + (dirty ? " dirty" : " clean") + " probe " +
+                              std::to_string(qi) + " " +
+                              probes[qi].ToString());
+      }
+    }
+  }
+}
+
+TEST(ProbeEvalTest, PairDrivenProbesForcedScalar) {
+  ScopedIsa scalar("scalar");
+  const Sources s = BuildSources(13, /*dirty=*/true);
+  for (const SelectionQuery& q : PairProbeMix(s.rows)) {
+    for (const auto& [name, db] : s.dbs) {
+      ExpectProbeAgrees(q, s.rows, *db, name + " " + q.ToString());
+    }
+  }
 }
 
 }  // namespace
