@@ -52,8 +52,7 @@ AimqEngine::AimqEngine(const WebDatabase* source, MinedKnowledge knowledge,
       knowledge_(std::move(knowledge)),
       options_(options),
       sim_(&source->schema(), &knowledge_.ordering, &knowledge_.vsim,
-           options.numeric_sim),
-      answer_cache_(0) {
+           options.numeric_sim) {
   if (options_.probe_cache_capacity > 0) {
     probe_cache_ = std::make_shared<ProbeCache>(options_.probe_cache_capacity);
   }
@@ -208,51 +207,6 @@ Result<std::vector<uint32_t>> AimqEngine::DeriveBaseSetImpl(
                           base.ToString() + " has a non-empty answer set");
 }
 
-Result<std::vector<RankedAnswer>> AimqEngine::Answer(
-    const ImpreciseQuery& query, RelaxationStrategy strategy,
-    RelaxationStats* stats, const QueryControl* control, bool* truncated) {
-  if (truncated != nullptr) *truncated = false;
-  AIMQ_RETURN_NOT_OK(query.Validate(source_->schema()));
-  if (query_log_ != nullptr && !query.Empty()) {
-    std::lock_guard<std::mutex> lock(query_log_mu_);
-    AIMQ_RETURN_NOT_OK(query_log_->Record(query));
-  }
-  // RandomRelax is stochastic under seed changes: never cache it.
-  const bool cacheable = strategy == RelaxationStrategy::kGuided;
-  std::string key;
-  if (cacheable) {
-    key = query.ToString();
-    std::lock_guard<std::mutex> lock(answer_cache_mu_);
-    if (const std::vector<RankedAnswer>* cached = answer_cache_.Get(key)) {
-      answer_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return *cached;
-    }
-  }
-  bool was_truncated = false;
-  AIMQ_ASSIGN_OR_RETURN(
-      std::vector<RankedAnswer> answers,
-      AnswerUncached(query, strategy, stats, control, &was_truncated));
-  if (truncated != nullptr) *truncated = was_truncated;
-  // A truncated run saw only part of the relaxation space — caching it would
-  // serve the partial answer to future unconstrained callers.
-  if (cacheable && !was_truncated) {
-    std::lock_guard<std::mutex> lock(answer_cache_mu_);
-    answer_cache_.Put(std::move(key), answers);
-  }
-  return answers;
-}
-
-void AimqEngine::SetAnswerCacheCapacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(answer_cache_mu_);
-  answer_cache_.set_capacity(capacity);
-  if (capacity == 0) answer_cache_.Clear();
-}
-
-size_t AimqEngine::answer_cache_size() const {
-  std::lock_guard<std::mutex> lock(answer_cache_mu_);
-  return answer_cache_.size();
-}
-
 AimqEngine::TupleExpansion AimqEngine::ExpandBaseTuple(
     const CodedSimilarityFunction::EncodedQuery& enc_query, uint32_t base_row,
     size_t base_index, RelaxationStrategy strategy, RelaxationStats* stats,
@@ -325,13 +279,19 @@ AimqEngine::TupleExpansion AimqEngine::ExpandBaseTuple(
   return out;
 }
 
-Result<std::vector<RankedAnswer>> AimqEngine::AnswerUncached(
+Result<std::vector<RankedAnswer>> AimqEngine::Answer(
     const ImpreciseQuery& query, RelaxationStrategy strategy,
     RelaxationStats* stats, const QueryControl* control, bool* truncated) {
+  if (truncated != nullptr) *truncated = false;
+  AIMQ_RETURN_NOT_OK(query.Validate(source_->schema()));
+  if (query_log_ != nullptr && !query.Empty()) {
+    std::lock_guard<std::mutex> lock(query_log_mu_);
+    AIMQ_RETURN_NOT_OK(query_log_->Record(query));
+  }
   const uint64_t trace_id = control != nullptr ? control->trace_id() : 0;
   ProbeContext ctx;
-  // Q is already validated (Answer's entry check), so encoding cannot fail;
-  // encode once and share the integer-resolved bindings with every worker.
+  // Q was validated above, so encoding cannot fail; encode once and share
+  // the integer-resolved bindings with every worker.
   AIMQ_ASSIGN_OR_RETURN(const CodedSimilarityFunction::EncodedQuery enc_query,
                         coded_sim_.EncodeQuery(query));
   std::vector<uint32_t> base_set;
@@ -500,13 +460,6 @@ Result<std::vector<double>> AimqEngine::ApplyFeedback(
       feedback.Round(sim_, source_->schema(), query_tuple, judged,
                      knowledge_.WimpVector()));
   AIMQ_RETURN_NOT_OK(knowledge_.ordering.SetWimp(updated));
-  // Rankings under the old weights are stale.
-  {
-    std::lock_guard<std::mutex> lock(answer_cache_mu_);
-    const size_t capacity = answer_cache_.capacity();
-    answer_cache_.Clear();
-    answer_cache_.set_capacity(capacity);
-  }
   return knowledge_.WimpVector();
 }
 

@@ -22,7 +22,6 @@
 #include "core/relaxation.h"
 #include "core/sim.h"
 #include "query/imprecise_query.h"
-#include "util/lru.h"
 #include "util/trace.h"
 #include "webdb/probe_cache.h"
 #include "webdb/web_database.h"
@@ -185,7 +184,7 @@ class AimqEngine {
   /// derivation aborts with kCancelled / kDeadlineExceeded (there is nothing
   /// useful to return yet); cancellation during the relaxation fan-out stops
   /// probing and ranks the candidates gathered so far, returning a *partial*
-  /// top-k and setting \p truncated. Truncated results are never cached.
+  /// top-k and setting \p truncated.
   Result<std::vector<RankedAnswer>> Answer(
       const ImpreciseQuery& query,
       RelaxationStrategy strategy = RelaxationStrategy::kGuided,
@@ -227,21 +226,10 @@ class AimqEngine {
   /// Relevance-feedback tuning (paper §7 future work): folds the user's
   /// re-ranking of one answer list into the attribute importance weights.
   /// Returns the updated, normalized weight vector; subsequent queries rank
-  /// with the tuned weights. Invalidates the answer cache.
+  /// with the tuned weights.
   Result<std::vector<double>> ApplyFeedback(
       const RelevanceFeedback& feedback, const Tuple& query_tuple,
       const std::vector<JudgedAnswer>& judged);
-
-  /// Enables LRU caching of Answer() results for repeated identical queries
-  /// (imprecise workloads are highly repetitive). The cache is invalidated
-  /// by ApplyFeedback. 0 disables caching (the default). Thread-safe.
-  void SetAnswerCacheCapacity(size_t capacity);
-
-  /// Cache accounting (testing/diagnostics).
-  size_t answer_cache_hits() const {
-    return answer_cache_hits_.load(std::memory_order_relaxed);
-  }
-  size_t answer_cache_size() const;
 
   /// Replaces the shared probe cache. Sharing one ProbeCache across engines
   /// over the same source dedupes relaxation probes across sessions; pass
@@ -329,13 +317,6 @@ class AimqEngine {
                                                   ProbeContext* ctx,
                                                   const QueryControl* control);
 
-  // Uncached Algorithm 1.
-  Result<std::vector<RankedAnswer>> AnswerUncached(const ImpreciseQuery& query,
-                                                   RelaxationStrategy strategy,
-                                                   RelaxationStats* stats,
-                                                   const QueryControl* control,
-                                                   bool* truncated);
-
   const WebDatabase* source_;
   MinedKnowledge knowledge_;
   AimqOptions options_;
@@ -348,11 +329,6 @@ class AimqEngine {
   // Probe dedup layer shared by every query this engine (and any engine
   // sharing the pointer) answers.
   std::shared_ptr<ProbeCache> probe_cache_;
-  // Answer cache: key = query rendering (GuidedRelax only). LRU, guarded by
-  // answer_cache_mu_ so concurrent Answer() calls are safe.
-  mutable std::mutex answer_cache_mu_;
-  LruCache<std::string, std::vector<RankedAnswer>> answer_cache_;
-  std::atomic<size_t> answer_cache_hits_{0};
   std::mutex query_log_mu_;
   QueryLog* query_log_ = nullptr;
   // Span recorder for end-to-end tracing; nullptr = tracing off (default).

@@ -65,8 +65,9 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Create(
     if (facade.ok()) {
       v0->facade = std::move(*facade);
     } else {
-      // Same degradation contract as ShardedEngine: serve unsharded and
-      // surface why, rather than refuse to start.
+      // Shard construction can only fail for packed shards (block-store /
+      // spill setup): serve unsharded and surface why through
+      // shard_build_status, rather than refuse to start.
       v0->shard_build_status = facade.status();
     }
   }
@@ -84,8 +85,8 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Create(
 std::unique_ptr<AimqEngine> LiveEngine::BuildEngine(
     const WebDatabase* probe_source, const ShardedWebDatabase* facade,
     const KnowledgeVersion& kv) const {
-  // Each version gets its own engine (fresh answer cache: cached answers
-  // are version-specific) over a *copy* of the knowledge edition.
+  // Each version gets its own engine over a *copy* of the knowledge edition
+  // (relevance feedback on one version's engine never leaks into another).
   auto engine = std::make_unique<AimqEngine>(probe_source, kv.knowledge,
                                              options_.engine);
   if (facade != nullptr) engine->SetShardRanker(facade);

@@ -32,7 +32,7 @@
 #include "core/engine.h"
 #include "core/knowledge.h"
 #include "core/options.h"
-#include "shard/sharded_engine.h"
+#include "shard/sharded_web_database.h"
 #include "util/histogram.h"
 #include "util/trace.h"
 #include "webdb/probe_cache.h"

@@ -10,23 +10,6 @@ namespace obs {
 
 namespace {
 
-// Every 8th geometric bound keeps the exposition at 12 buckets + +Inf,
-// matching the pre-registry service exposition exactly.
-constexpr size_t kBucketStride = 8;
-
-// One canonical key for the (name, labels) instrument map; labels are
-// compared in emission order, which every call site keeps stable.
-std::string LabelsKey(const MetricLabels& labels) {
-  std::string key;
-  for (const auto& [k, v] : labels) {
-    key += k;
-    key += '\x1f';
-    key += v;
-    key += '\x1e';
-  }
-  return key;
-}
-
 void AppendScalar(std::string* out, double value) {
   if (!std::isfinite(value)) value = 0.0;
   char buf[64];
@@ -131,14 +114,10 @@ HistogramData FromHistogramSnapshot(const HistogramSnapshot& snapshot) {
   HistogramData data;
   data.count = snapshot.count;
   data.sum = snapshot.sum_seconds;
-  uint64_t in_window = 0;
-  for (size_t i = 0; i < snapshot.bucket_counts.size(); ++i) {
-    in_window += snapshot.bucket_counts[i];
-    if ((i + 1) % kBucketStride == 0) {
-      data.bounds.push_back(LatencyHistogram::BucketUpperBound(i));
-      data.counts.push_back(in_window);
-      in_window = 0;
-    }
+  data.counts = snapshot.bucket_counts;
+  data.bounds.reserve(data.counts.size());
+  for (size_t i = 0; i < data.counts.size(); ++i) {
+    data.bounds.push_back(LatencyHistogram::BucketUpperBound(i));
   }
   return data;
 }
@@ -236,77 +215,6 @@ void MetricsRegistry::Emitter::Histogram(const std::string& name,
   Append(name, help, MetricKind::kHistogram, std::move(sample));
 }
 
-MetricsRegistry::Instrument* MetricsRegistry::GetInstrumentLocked(
-    const std::string& name, const std::string& help, MetricKind kind,
-    MetricLabels labels) {
-  Family* family = nullptr;
-  auto it = family_index_.find(name);
-  if (it != family_index_.end()) {
-    family = families_[it->second].get();
-    if (family->kind != kind) family = nullptr;  // mismatch: park detached
-  } else {
-    auto created = std::make_unique<Family>();
-    created->name = name;
-    created->help = help;
-    created->kind = kind;
-    family_index_.emplace(name, families_.size());
-    families_.push_back(std::move(created));
-    family = families_.back().get();
-  }
-  if (family != nullptr) {
-    const std::string key = LabelsKey(labels);
-    for (const auto& instrument : family->instruments) {
-      if (LabelsKey(instrument->labels) == key) return instrument.get();
-    }
-  }
-  auto instrument = std::make_unique<Instrument>();
-  instrument->labels = std::move(labels);
-  switch (kind) {
-    case MetricKind::kCounter:
-      instrument->counter = std::make_unique<Counter>();
-      break;
-    case MetricKind::kGauge:
-      instrument->gauge = std::make_unique<Gauge>();
-      break;
-    case MetricKind::kHistogram:
-      instrument->histogram = std::make_unique<LatencyHistogram>();
-      break;
-  }
-  Instrument* out = instrument.get();
-  if (family != nullptr) {
-    family->instruments.push_back(std::move(instrument));
-  } else {
-    detached_.push_back(std::move(instrument));
-  }
-  return out;
-}
-
-MetricsRegistry::Counter* MetricsRegistry::GetCounter(const std::string& name,
-                                                      const std::string& help,
-                                                      MetricLabels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return GetInstrumentLocked(name, help, MetricKind::kCounter,
-                             std::move(labels))
-      ->counter.get();
-}
-
-MetricsRegistry::Gauge* MetricsRegistry::GetGauge(const std::string& name,
-                                                  const std::string& help,
-                                                  MetricLabels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return GetInstrumentLocked(name, help, MetricKind::kGauge, std::move(labels))
-      ->gauge.get();
-}
-
-LatencyHistogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                                const std::string& help,
-                                                MetricLabels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return GetInstrumentLocked(name, help, MetricKind::kHistogram,
-                             std::move(labels))
-      ->histogram.get();
-}
-
 void MetricsRegistry::AddCollector(Collector collector) {
   std::lock_guard<std::mutex> lock(mu_);
   collectors_.push_back(std::move(collector));
@@ -315,31 +223,6 @@ void MetricsRegistry::AddCollector(Collector collector) {
 std::vector<FamilySnapshot> MetricsRegistry::Collect() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<FamilySnapshot> out;
-  out.reserve(families_.size());
-  for (const auto& family : families_) {
-    FamilySnapshot snap;
-    snap.name = family->name;
-    snap.help = family->help;
-    snap.kind = family->kind;
-    snap.samples.reserve(family->instruments.size());
-    for (const auto& instrument : family->instruments) {
-      MetricSample sample;
-      sample.labels = instrument->labels;
-      switch (family->kind) {
-        case MetricKind::kCounter:
-          sample.value = static_cast<double>(instrument->counter->Value());
-          break;
-        case MetricKind::kGauge:
-          sample.value = instrument->gauge->Value();
-          break;
-        case MetricKind::kHistogram:
-          sample.histogram = FromLatencyHistogram(*instrument->histogram);
-          break;
-      }
-      snap.samples.push_back(std::move(sample));
-    }
-    out.push_back(std::move(snap));
-  }
   Emitter emitter(&out);
   for (const Collector& collector : collectors_) {
     collector(&emitter);

@@ -1,41 +1,30 @@
-// MetricsRegistry: the engine-wide metric registry behind `GET /metrics`.
+// MetricsRegistry: the engine-wide metric registry behind `GET /metrics`,
+// `GET /metrics.json` and the `{"op":"metrics"}` wire op.
 //
-// Since PR 4 every subsystem grew its own stats struct — ServiceMetrics,
+// Every subsystem keeps its own native stats struct — ServiceMetrics,
 // ProbeCacheStats, BlockCache::Stats, per-shard probe snapshots, SIMD
-// dispatch counters — each with its own export path. The registry unifies
-// them behind one model:
+// dispatch counters — and updates it on its hot path without knowing the
+// registry exists. The registry is a list of pull collectors: callbacks run
+// at Collect() time that read those structs and emit point-in-time samples
+// through an Emitter.
 //
-//  - First-class instruments (Counter / Gauge / histogram) are registered
-//    once (short mutex) and then updated lock-free: Counter::Inc is one
-//    relaxed fetch_add, Gauge::Set one relaxed store, histogram recording a
-//    LatencyHistogram::Record. Registration returns stable pointers, so hot
-//    paths hold the instrument, never the registry.
-//  - Pull collectors adapt the existing per-subsystem stats structs without
-//    rewriting them: a collector is a callback invoked at Collect() time
-//    that emits point-in-time samples through an Emitter. The subsystems
-//    keep their native accounting; the registry reads it on scrape.
-//
-// Collect() renders both worlds into one list of FamilySnapshots (name,
+// Collect() renders every collector into one list of FamilySnapshots (name,
 // help, kind, labelled samples), which is the single source for the
 // Prometheus text exposition (escaped label values, # HELP / # TYPE for
-// every family, cumulative histogram buckets) and for the JSON snapshot the
-// benches embed in their --json= baselines.
+// every family, cumulative histogram buckets) and for the JSON snapshot.
+// Histograms keep the LatencyHistogram's native 96 ×1.25 buckets in both
+// forms, so a reported quantile is within one 25% bucket of the exact one.
 //
-// Thread model: instrument updates are wait-free on atomics; registration,
-// AddCollector, and Collect() serialize on one registry mutex. Collect()
-// under concurrent increments has torn-snapshot semantics (a counter may
-// lag another by a few updates, never corrupt) — the same contract
-// LatencyHistogram already gives.
+// Thread model: AddCollector and Collect() serialize on one registry mutex.
+// Collectors read live atomics, so a snapshot taken under concurrent updates
+// has torn-snapshot semantics (a counter may lag another by a few updates,
+// never corrupt) — the same contract LatencyHistogram already gives.
 
 #ifndef AIMQ_OBS_METRICS_REGISTRY_H_
 #define AIMQ_OBS_METRICS_REGISTRY_H_
 
-#include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -66,8 +55,8 @@ struct HistogramData {
   double Percentile(double q) const;
 };
 
-/// Coarsens a LatencyHistogram snapshot to every 8th geometric bound (12
-/// exposition buckets + +Inf), matching the service's historical exposition.
+/// A LatencyHistogram snapshot at native resolution: one bound per geometric
+/// bucket (96 bounds, then +Inf).
 HistogramData FromHistogramSnapshot(const HistogramSnapshot& snapshot);
 HistogramData FromLatencyHistogram(const LatencyHistogram& histogram);
 
@@ -98,38 +87,9 @@ std::string RenderPrometheusText(const std::vector<FamilySnapshot>& families);
 /// \brief Central labelled metric registry (see file comment).
 class MetricsRegistry {
  public:
-  /// Monotonic counter; Inc is one relaxed fetch_add.
-  class Counter {
-   public:
-    void Inc(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-    uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
-
-   private:
-    std::atomic<uint64_t> value_{0};
-  };
-
-  /// Last-write-wins double gauge; Set is one relaxed store.
-  class Gauge {
-   public:
-    void Set(double v) {
-      uint64_t bits = 0;
-      std::memcpy(&bits, &v, sizeof(bits));
-      bits_.store(bits, std::memory_order_relaxed);
-    }
-    double Value() const {
-      const uint64_t bits = bits_.load(std::memory_order_relaxed);
-      double v = 0.0;
-      std::memcpy(&v, &bits, sizeof(v));
-      return v;
-    }
-
-   private:
-    std::atomic<uint64_t> bits_{0};
-  };
-
   /// Sample sink handed to pull collectors. Append-only; an emitted family
   /// name that matches an already-collected family merges its samples into
-  /// it (first registration wins the help text and kind).
+  /// it (the first emission wins the help text and kind).
   class Emitter {
    public:
     void Counter(const std::string& name, const std::string& help,
@@ -153,25 +113,12 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Registers (or finds) the \p labels instrument of counter family
-  /// \p name. The returned pointer is stable for the registry's lifetime.
-  /// Re-registering an existing (name, labels) pair returns the same
-  /// instrument; a name already registered with a different kind returns a
-  /// detached instrument that is never rendered.
-  Counter* GetCounter(const std::string& name, const std::string& help,
-                      MetricLabels labels = {});
-  Gauge* GetGauge(const std::string& name, const std::string& help,
-                  MetricLabels labels = {});
-  LatencyHistogram* GetHistogram(const std::string& name,
-                                 const std::string& help,
-                                 MetricLabels labels = {});
-
   /// Registers a pull collector, run on every Collect() under the registry
   /// lock. Collectors must not call back into this registry.
   void AddCollector(Collector collector);
 
-  /// One point-in-time snapshot: first-class families in registration
-  /// order, then collector-emitted families (merged by name).
+  /// One point-in-time snapshot: collector-emitted families in first-emitted
+  /// order (a family emitted again merges by name).
   std::vector<FamilySnapshot> Collect() const;
 
   /// RenderPrometheusText(Collect()) — the one exposition path.
@@ -184,30 +131,7 @@ class MetricsRegistry {
   Json JsonSnapshot() const;
 
  private:
-  struct Instrument {
-    MetricLabels labels;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<LatencyHistogram> histogram;
-  };
-  struct Family {
-    std::string name;
-    std::string help;
-    MetricKind kind = MetricKind::kCounter;
-    std::vector<std::unique_ptr<Instrument>> instruments;
-  };
-
-  // Requires mu_ held. Finds-or-creates the family and instrument cell.
-  Instrument* GetInstrumentLocked(const std::string& name,
-                                  const std::string& help, MetricKind kind,
-                                  MetricLabels labels);
-
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Family>> families_;        // registration order
-  std::map<std::string, size_t> family_index_;           // name -> index
-  // Kind-mismatch registrations park here so callers always get a live
-  // instrument (never rendered).
-  std::vector<std::unique_ptr<Instrument>> detached_;
   std::vector<Collector> collectors_;
 };
 

@@ -239,20 +239,4 @@ void EmitTraceRecorder(const TraceRecorder& trace, Emitter* out) {
              static_cast<double>(trace.capacity()));
 }
 
-std::string PrometheusMetricsText(const ServiceMetrics& metrics,
-                                  const ProbeCacheStats* cache_stats,
-                                  const std::vector<ShardProbeSnapshot>*
-                                      shards) {
-  // A throwaway registry keeps the legacy entry point on the exact renderer
-  // the live service registry uses.
-  obs::MetricsRegistry registry;
-  registry.AddCollector([&](Emitter* out) {
-    EmitServiceMetrics(metrics, out);
-    if (cache_stats != nullptr) EmitProbeCache(*cache_stats, out);
-    EmitTenants(metrics.TenantSnapshot(), out);
-    if (shards != nullptr && !shards->empty()) EmitShards(*shards, out);
-  });
-  return registry.PrometheusText();
-}
-
 }  // namespace aimq

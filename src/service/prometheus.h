@@ -1,24 +1,20 @@
-// Prometheus text-format exposition (version 0.0.4) of the service metrics.
-//
-// Everything renders through obs::MetricsRegistry's single exposition path:
-// the Emit* helpers below adapt each subsystem's native stats struct into
-// registry families, and both the service's live registry collector
-// (AimqService wires them in at construction) and the legacy
-// PrometheusMetricsText() shim call the same helpers — one family
-// catalogue, one renderer, one escaping rule. Served by AimqServer on
-// `GET /metrics`, so a stock Prometheus scrape_config pointed at the wire
-// port just works:
+// The service's metric families: Emit* helpers that adapt each subsystem's
+// native stats struct into obs::MetricsRegistry samples. AimqService wires
+// them into its registry's collector at construction, so one family
+// catalogue, one renderer and one escaping rule serve every export: the
+// Prometheus text on `GET /metrics` (a stock scrape_config pointed at the
+// wire port just works), and the JSON snapshot on `GET /metrics.json` and
+// `{"op":"metrics"}`:
 //
 //   aimq_requests_accepted_total 1042
-//   aimq_request_latency_seconds_bucket{le="0.004"} 963
-//   aimq_shard_probe_seconds_bucket{shard="3",le="0.004"} 241
+//   aimq_request_latency_seconds_bucket{le="0.00385186"} 963
+//   aimq_shard_probe_seconds_bucket{shard="3",le="0.00385186"} 241
 //   aimq_simd_kernel_calls_total{kernel="eq_mask"} 52110
 //
-// Histogram buckets are cumulative, as the format demands; the 96 internal
-// geometric buckets are coarsened to every 8th bound (rel. error <= ~6x one
-// bucket's 25%, still far finer than typical scrape dashboards need) plus
-// the mandatory +Inf bound. Label values are escaped (backslash, quote,
-// newline); NaN/Inf scalar values render as 0.
+// Latency histograms keep the 96 native ×1.25 geometric buckets of
+// LatencyHistogram (plus the mandatory +Inf bound), cumulative as the format
+// demands. Label values are escaped (backslash, quote, newline); NaN/Inf
+// scalar values render as 0.
 
 #ifndef AIMQ_SERVICE_PROMETHEUS_H_
 #define AIMQ_SERVICE_PROMETHEUS_H_
@@ -32,7 +28,7 @@
 #include "live/live_engine.h"
 #include "obs/metrics_registry.h"
 #include "service/metrics.h"
-#include "shard/sharded_engine.h"
+#include "shard/sharded_web_database.h"
 #include "storage/code_block_store.h"
 #include "util/trace.h"
 #include "webdb/probe_cache.h"
@@ -79,16 +75,6 @@ void EmitSimd(obs::MetricsRegistry::Emitter* out);
 /// Trace ring-buffer accounting: spans dropped to backpressure + capacity.
 void EmitTraceRecorder(const TraceRecorder& trace,
                        obs::MetricsRegistry::Emitter* out);
-
-/// One full scrape body, `\n`-terminated, rendered through a throwaway
-/// registry over the same Emit* helpers the live service registry uses.
-/// \p cache_stats may be null (the probe-cache families are then omitted);
-/// \p shards may be null or empty (the shard-labelled families are then
-/// omitted). Never emits NaN/Inf — rates with an empty denominator render
-/// as 0.
-std::string PrometheusMetricsText(
-    const ServiceMetrics& metrics, const ProbeCacheStats* cache_stats,
-    const std::vector<ShardProbeSnapshot>* shards = nullptr);
 
 }  // namespace aimq
 

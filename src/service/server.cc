@@ -177,18 +177,11 @@ std::string AimqServer::HandleLine(const std::string& line) {
       out.Set("pong", Json::Bool(true));
       return out.Dump();
     }
-    case WireRequest::Op::kStats: {
-      Json out = Json::Obj();
-      if (request.has_id) out.Set("id", Json::Num(request.id));
-      out.Set("ok", Json::Bool(true));
-      out.Set("stats", service_->StatsJson());
-      return out.Dump();
-    }
     case WireRequest::Op::kMetrics: {
       Json out = Json::Obj();
       if (request.has_id) out.Set("id", Json::Num(request.id));
       out.Set("ok", Json::Bool(true));
-      out.Set("metrics", service_->StatsJson());
+      out.Set("metrics", service_->metrics_registry().JsonSnapshot());
       return out.Dump();
     }
     case WireRequest::Op::kIngest:
@@ -305,7 +298,7 @@ void AimqServer::ServeHttp(int fd, const std::string& request_line,
     body = service_->metrics_registry().PrometheusText();
   } else if (path == "/metrics.json") {
     content_type = "application/json";
-    body = service_->StatsJson().Dump() + "\n";
+    body = service_->metrics_registry().JsonSnapshot().Dump() + "\n";
   } else if (path == "/trace") {
     if (service_->trace() == nullptr) {
       status_line = "HTTP/1.1 404 Not Found";

@@ -19,9 +19,9 @@
 //    tenant with an optional per-tenant quota (one noisy tenant cannot fill
 //    the global queue) and stride-scheduled weighted-fair dequeue. With one
 //    tenant and no quota this degenerates to the original FIFO exactly.
-//  - Sharding: ServiceOptions::num_shards > 1 serves from a ShardedEngine —
-//    row-range shards behind a scatter/gather facade — with answers
-//    bit-identical to the unsharded engine (DESIGN.md §5h).
+//  - Sharding: ServiceOptions::num_shards > 1 serves every version through
+//    a ShardedWebDatabase — row-range shards behind a scatter/gather facade —
+//    with answers bit-identical to the unsharded engine (DESIGN.md §5h).
 //  - Deadlines: each request carries a QueryControl whose deadline starts at
 //    *submit* time, so queue wait counts against it. Workers pass the
 //    control into AimqEngine::Answer, which checks it between relaxation
@@ -55,7 +55,7 @@
 #include "obs/metrics_registry.h"
 #include "obs/query_profile.h"
 #include "service/metrics.h"
-#include "shard/sharded_engine.h"
+#include "shard/sharded_web_database.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
 #include "util/trace.h"
@@ -247,19 +247,20 @@ class AimqService {
   Result<uint64_t> RefreshKnowledge();
 
   /// Live-ingest accounting (versions, row counts, staleness, publish
-  /// latency) — the `live` object of StatsJson() and the aimq_snapshot_* /
-  /// aimq_knowledge_* / aimq_ingest_* metric families.
+  /// latency) — the aimq_snapshot_* / aimq_knowledge_* / aimq_ingest_*
+  /// metric families.
   LiveIngestStats LiveStats() const { return live_->Stats(); }
 
   const ServiceOptions& service_options() const { return service_options_; }
   ServiceMetrics& metrics() { return metrics_; }
   const ServiceMetrics& metrics() const { return metrics_; }
 
-  /// The unified metric registry behind `GET /metrics`. A collector wired
-  /// in at construction pulls every subsystem — service counters, probe
-  /// cache, tenants (counters + live queue depth), shards, block stores,
-  /// SIMD dispatch, trace ring — so one PrometheusText() call renders the
-  /// whole engine.
+  /// The one metrics export path: `GET /metrics` renders its
+  /// PrometheusText(), `GET /metrics.json` and `{"op":"metrics"}` its
+  /// JsonSnapshot(). A collector wired in at construction pulls every
+  /// subsystem — service counters, probe cache, live ingest, tenants
+  /// (counters + live queue depth), shards, block stores, SIMD dispatch,
+  /// trace ring — so one call renders the whole engine.
   obs::MetricsRegistry& metrics_registry() { return registry_; }
   const obs::MetricsRegistry& metrics_registry() const { return registry_; }
 
@@ -291,10 +292,6 @@ class AimqService {
   Status shard_build_status() const {
     return live_->Acquire()->shard_build_status;
   }
-
-  /// Live metrics + probe-cache stats as one JSON object (the STATS wire
-  /// response body).
-  Json StatsJson() const;
 
   /// The span recorder, or nullptr when ServiceOptions::enable_tracing was
   /// false. Owned by the service; shared read-only with the engine.

@@ -71,8 +71,6 @@ Result<WireRequest> ParseWireRequest(const std::string& line) {
   AIMQ_ASSIGN_OR_RETURN(std::string op, json.GetStr("op"));
   if (op == "ping") {
     req.op = WireRequest::Op::kPing;
-  } else if (op == "stats") {
-    req.op = WireRequest::Op::kStats;
   } else if (op == "metrics") {
     req.op = WireRequest::Op::kMetrics;
   } else if (op == "query") {

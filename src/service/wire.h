@@ -1,14 +1,17 @@
 // The query service's newline-delimited JSON wire protocol.
 //
 // One request per line, one response line per request, over a plain TCP
-// stream — testable with `nc localhost 7777`. Seven operations:
+// stream — testable with `nc localhost 7777`. Six operations:
 //
 //   {"op":"ping"}
 //     -> {"ok":true,"pong":true}
-//   {"op":"stats"}
-//     -> {"ok":true,"stats":{...ServiceMetrics snapshot...}}
 //   {"op":"metrics"}
-//     -> {"ok":true,"metrics":{...ServiceMetrics snapshot...}}
+//     -> {"ok":true,"metrics":{"aimq_requests_completed_total":12,...,
+//         "aimq_request_latency_seconds":{"count":..,"sum":..,"p50":..,
+//         "p95":..,"p99":..},...}}
+//        The service's metrics registry as one JSON object (family name ->
+//        value; labelled families as arrays), the same families
+//        `GET /metrics` renders as Prometheus text.
 //   {"op":"query","q":"Q(Model like 'Camry')","deadline_ms":500,"id":7,
 //    "request_id":42}
 //     -> {"id":7,"ok":true,"request_id":42,"truncated":false,
@@ -80,7 +83,6 @@ Json RankedAnswerToJson(const Schema& schema, const RankedAnswer& answer);
 struct WireRequest {
   enum class Op {
     kPing,
-    kStats,
     kMetrics,
     kQuery,
     kExplain,

@@ -297,66 +297,6 @@ TEST_F(EngineTest, DuplicateRelaxationProbesAreDeduplicated) {
   EXPECT_LT(stats.queries_issued, base_n * 63);
 }
 
-TEST_F(EngineTest, AnswerCacheHitsOnRepeatedQueries) {
-  auto knowledge = BuildKnowledge(*db_, *options_);
-  ASSERT_TRUE(knowledge.ok());
-  AimqEngine engine(db_, knowledge.TakeValue(), *options_);
-  engine.SetAnswerCacheCapacity(16);
-
-  ImpreciseQuery q;
-  q.Bind("Model", Value::Cat("Camry"));
-  auto first = engine.Answer(q);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(engine.answer_cache_hits(), 0u);
-  EXPECT_EQ(engine.answer_cache_size(), 1u);
-
-  db_->ResetStats();
-  auto second = engine.Answer(q);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(engine.answer_cache_hits(), 1u);
-  // A cache hit never touches the source.
-  EXPECT_EQ(db_->stats().queries_issued, 0u);
-  ASSERT_EQ(first->size(), second->size());
-  for (size_t i = 0; i < first->size(); ++i) {
-    EXPECT_EQ((*first)[i].tuple, (*second)[i].tuple);
-  }
-}
-
-TEST_F(EngineTest, FeedbackInvalidatesAnswerCache) {
-  auto knowledge = BuildKnowledge(*db_, *options_);
-  ASSERT_TRUE(knowledge.ok());
-  AimqEngine engine(db_, knowledge.TakeValue(), *options_);
-  engine.SetAnswerCacheCapacity(16);
-
-  ImpreciseQuery q;
-  q.Bind("Model", Value::Cat("Accord"));
-  auto answers = engine.Answer(q);
-  ASSERT_TRUE(answers.ok());
-  ASSERT_GE(answers->size(), 2u);
-  EXPECT_EQ(engine.answer_cache_size(), 1u);
-
-  std::vector<JudgedAnswer> judged;
-  for (size_t i = 0; i < answers->size(); ++i) {
-    judged.push_back(JudgedAnswer{
-        (*answers)[i].tuple, static_cast<int>(answers->size() - i)});
-  }
-  RelevanceFeedback feedback;
-  ASSERT_TRUE(engine.ApplyFeedback(feedback, (*answers)[0].tuple, judged)
-                  .ok());
-  EXPECT_EQ(engine.answer_cache_size(), 0u);
-}
-
-TEST_F(EngineTest, RandomStrategyIsNeverCached) {
-  auto knowledge = BuildKnowledge(*db_, *options_);
-  ASSERT_TRUE(knowledge.ok());
-  AimqEngine engine(db_, knowledge.TakeValue(), *options_);
-  engine.SetAnswerCacheCapacity(16);
-  ImpreciseQuery q;
-  q.Bind("Model", Value::Cat("Civic"));
-  ASSERT_TRUE(engine.Answer(q, RelaxationStrategy::kRandom).ok());
-  EXPECT_EQ(engine.answer_cache_size(), 0u);
-}
-
 TEST_F(EngineTest, AttachedQueryLogRecordsAnswers) {
   auto knowledge = BuildKnowledge(*db_, *options_);
   ASSERT_TRUE(knowledge.ok());

@@ -1,11 +1,14 @@
-// MetricsRegistry tests: instrument registration and stability, collector
-// merge semantics, Prometheus rendering (HELP/TYPE grammar, label escaping,
-// cumulative buckets), JSON snapshots, and snapshot-under-concurrent-
-// increment safety.
+// MetricsRegistry tests: collector merge semantics, Prometheus rendering
+// (HELP/TYPE grammar, label escaping, cumulative buckets), JSON snapshots and
+// their quantile accuracy, and snapshot-under-concurrent-update safety.
 
 #include "obs/metrics_registry.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -34,47 +37,25 @@ bool HasLine(const std::string& text, const std::string& exact) {
 
 TEST(MetricsRegistryTest, CounterRegistersAndRenders) {
   MetricsRegistry registry;
-  MetricsRegistry::Counter* c =
-      registry.GetCounter("test_requests_total", "Requests seen.");
-  c->Inc();
-  c->Inc(41);
+  std::atomic<uint64_t> requests{0};
+  registry.AddCollector([&](MetricsRegistry::Emitter* out) {
+    out->Counter("test_requests_total", "Requests seen.",
+                 static_cast<double>(requests.load()));
+  });
+  requests += 1;
+  requests += 41;
   const std::string text = registry.PrometheusText();
   EXPECT_TRUE(HasLine(text, "# HELP test_requests_total Requests seen."));
   EXPECT_TRUE(HasLine(text, "# TYPE test_requests_total counter"));
   EXPECT_TRUE(HasLine(text, "test_requests_total 42"));
 }
 
-TEST(MetricsRegistryTest, ReRegistrationReturnsTheSameInstrument) {
-  MetricsRegistry registry;
-  MetricsRegistry::Counter* a = registry.GetCounter("c_total", "help");
-  MetricsRegistry::Counter* b = registry.GetCounter("c_total", "other help");
-  EXPECT_EQ(a, b);
-  MetricsRegistry::Counter* labelled =
-      registry.GetCounter("c_total", "help", {{"k", "v"}});
-  EXPECT_NE(a, labelled);
-  EXPECT_EQ(labelled, registry.GetCounter("c_total", "help", {{"k", "v"}}));
-}
-
-TEST(MetricsRegistryTest, KindMismatchYieldsDetachedInstrument) {
-  MetricsRegistry registry;
-  registry.GetCounter("dual_total", "as counter")->Inc(7);
-  // Same name, different kind: the caller still gets a usable gauge, but it
-  // never renders (the family keeps its first kind).
-  MetricsRegistry::Gauge* g = registry.GetGauge("dual_total", "as gauge");
-  ASSERT_NE(g, nullptr);
-  g->Set(3.0);
-  const std::string text = registry.PrometheusText();
-  EXPECT_TRUE(HasLine(text, "# TYPE dual_total counter"));
-  EXPECT_TRUE(HasLine(text, "dual_total 7"));
-  EXPECT_FALSE(HasLine(text, "dual_total 3"));
-}
-
 TEST(MetricsRegistryTest, LabelValuesAreEscaped) {
   MetricsRegistry registry;
-  registry
-      .GetCounter("tenant_total", "by tenant",
-                  {{"tenant", "acme \"prod\"\\eu\nwest"}})
-      ->Inc();
+  registry.AddCollector([](MetricsRegistry::Emitter* out) {
+    out->Counter("tenant_total", "by tenant", 1.0,
+                 {{"tenant", "acme \"prod\"\\eu\nwest"}});
+  });
   const std::string text = registry.PrometheusText();
   EXPECT_TRUE(HasLine(
       text, "tenant_total{tenant=\"acme \\\"prod\\\"\\\\eu\\nwest\"} 1"))
@@ -90,15 +71,19 @@ TEST(MetricsRegistryTest, EscapePrometheusLabelRules) {
 
 TEST(MetricsRegistryTest, HistogramRendersCumulativeBucketsEndingAtInf) {
   MetricsRegistry registry;
-  LatencyHistogram* h = registry.GetHistogram("lat_seconds", "latency");
-  h->Record(0.001);
-  h->Record(0.010);
-  h->Record(0.100);
+  LatencyHistogram h;
+  registry.AddCollector([&](MetricsRegistry::Emitter* out) {
+    out->Histogram("lat_seconds", "latency", FromLatencyHistogram(h));
+  });
+  h.Record(0.001);
+  h.Record(0.010);
+  h.Record(0.100);
   const std::string text = registry.PrometheusText();
   EXPECT_TRUE(HasLine(text, "# TYPE lat_seconds histogram"));
   EXPECT_TRUE(HasLine(text, "lat_seconds_bucket{le=\"+Inf\"} 3"));
   EXPECT_TRUE(HasLine(text, "lat_seconds_count 3"));
-  // Bucket counts never decrease as le grows.
+  // One series per native bucket plus +Inf; counts never decrease as le
+  // grows.
   std::vector<double> buckets;
   for (const std::string& line : Lines(text)) {
     const std::string prefix = "lat_seconds_bucket{le=";
@@ -106,23 +91,26 @@ TEST(MetricsRegistryTest, HistogramRendersCumulativeBucketsEndingAtInf) {
       buckets.push_back(std::stod(line.substr(line.rfind(' ') + 1)));
     }
   }
-  ASSERT_GE(buckets.size(), 2u);
+  ASSERT_EQ(buckets.size(), LatencyHistogram::kNumBuckets + 1);
   for (size_t i = 1; i < buckets.size(); ++i) {
     EXPECT_GE(buckets[i], buckets[i - 1]);
   }
 }
 
 TEST(MetricsRegistryTest, CollectorFamiliesMergeWithFirstClassOnes) {
+  // Two collectors emit the same family name: the samples merge into one
+  // family that keeps the first emission's help text and kind.
   MetricsRegistry registry;
-  registry.GetCounter("shared_total", "first", {{"src", "instrument"}})
-      ->Inc(1);
   registry.AddCollector([](MetricsRegistry::Emitter* out) {
-    out->Counter("shared_total", "second", 2.0, {{"src", "collector"}});
+    out->Counter("shared_total", "first", 1.0, {{"src", "a"}});
+  });
+  registry.AddCollector([](MetricsRegistry::Emitter* out) {
+    out->Counter("shared_total", "second", 2.0, {{"src", "b"}});
     out->Gauge("pulled_gauge", "pulled", 5.0);
   });
   const std::string text = registry.PrometheusText();
-  EXPECT_TRUE(HasLine(text, "shared_total{src=\"instrument\"} 1"));
-  EXPECT_TRUE(HasLine(text, "shared_total{src=\"collector\"} 2"));
+  EXPECT_TRUE(HasLine(text, "shared_total{src=\"a\"} 1"));
+  EXPECT_TRUE(HasLine(text, "shared_total{src=\"b\"} 2"));
   EXPECT_TRUE(HasLine(text, "pulled_gauge 5"));
   // One HELP/TYPE pair for the merged family, with the first help text.
   size_t type_lines = 0;
@@ -135,9 +123,13 @@ TEST(MetricsRegistryTest, CollectorFamiliesMergeWithFirstClassOnes) {
 
 TEST(MetricsRegistryTest, EveryFamilyHasHelpAndTypeBeforeSamples) {
   MetricsRegistry registry;
-  registry.GetCounter("a_total", "a")->Inc();
-  registry.GetGauge("b_gauge", "b")->Set(1.5);
-  registry.GetHistogram("c_seconds", "c")->Record(0.01);
+  LatencyHistogram h;
+  h.Record(0.01);
+  registry.AddCollector([&](MetricsRegistry::Emitter* out) {
+    out->Counter("a_total", "a", 1.0);
+    out->Gauge("b_gauge", "b", 1.5);
+    out->Histogram("c_seconds", "c", FromLatencyHistogram(h));
+  });
   registry.AddCollector([](MetricsRegistry::Emitter* out) {
     out->Counter("d_total", "d", 4.0);
   });
@@ -163,7 +155,9 @@ TEST(MetricsRegistryTest, EveryFamilyHasHelpAndTypeBeforeSamples) {
 
 TEST(MetricsRegistryTest, NonFiniteGaugeRendersAsZero) {
   MetricsRegistry registry;
-  registry.GetGauge("rate", "a rate")->Set(0.0 / 0.0);
+  registry.AddCollector([](MetricsRegistry::Emitter* out) {
+    out->Gauge("rate", "a rate", std::nan(""));
+  });
   const std::string text = registry.PrometheusText();
   EXPECT_TRUE(HasLine(text, "rate 0"));
   EXPECT_EQ(text.find("nan"), std::string::npos);
@@ -171,10 +165,14 @@ TEST(MetricsRegistryTest, NonFiniteGaugeRendersAsZero) {
 
 TEST(MetricsRegistryTest, JsonSnapshotFlattensScalarsAndLabels) {
   MetricsRegistry registry;
-  registry.GetCounter("plain_total", "plain")->Inc(9);
-  registry.GetCounter("by_shard_total", "labelled", {{"shard", "0"}})->Inc(4);
-  registry.GetCounter("by_shard_total", "labelled", {{"shard", "1"}})->Inc(6);
-  registry.GetHistogram("lat_seconds", "latency")->Record(0.010);
+  LatencyHistogram h;
+  h.Record(0.010);
+  registry.AddCollector([&](MetricsRegistry::Emitter* out) {
+    out->Counter("plain_total", "plain", 9.0);
+    out->Counter("by_shard_total", "labelled", 4.0, {{"shard", "0"}});
+    out->Counter("by_shard_total", "labelled", 6.0, {{"shard", "1"}});
+    out->Histogram("lat_seconds", "latency", FromLatencyHistogram(h));
+  });
   const Json snap = registry.JsonSnapshot();
   ASSERT_TRUE(snap.is_object());
   const Json* plain = snap.Find("plain_total");
@@ -182,24 +180,68 @@ TEST(MetricsRegistryTest, JsonSnapshotFlattensScalarsAndLabels) {
   EXPECT_DOUBLE_EQ(plain->AsNum(), 9.0);
   const Json* labelled = snap.Find("by_shard_total");
   ASSERT_NE(labelled, nullptr);
-  EXPECT_TRUE(labelled->is_array());
+  ASSERT_TRUE(labelled->is_array());
+  ASSERT_EQ(labelled->AsArr().size(), 2u);
+  EXPECT_EQ(*labelled->AsArr()[1].GetStr("shard"), "1");
+  EXPECT_DOUBLE_EQ(*labelled->AsArr()[1].GetNum("value"), 6.0);
   const Json* hist = snap.Find("lat_seconds");
   ASSERT_NE(hist, nullptr);
   ASSERT_TRUE(hist->is_object());
   EXPECT_DOUBLE_EQ(hist->Find("count")->AsNum(), 1.0);
 }
 
+TEST(MetricsRegistryTest, JsonQuantilesWithinOneNativeBucket) {
+  // Seeded log-uniform durations over 1 µs .. 10 s, recorded into a
+  // LatencyHistogram and exported through a collector: every reported
+  // quantile must be the upper edge of the native ×1.25 bucket holding the
+  // exact order statistic, so it lies in [exact, 1.25 × exact].
+  std::mt19937_64 rng(20061);
+  std::uniform_real_distribution<double> exponent(std::log(1e-6),
+                                                  std::log(10.0));
+  LatencyHistogram h;
+  std::vector<double> sample;
+  for (int i = 0; i < 20000; ++i) {
+    const double seconds = std::exp(exponent(rng));
+    h.Record(seconds);
+    sample.push_back(seconds);
+  }
+  std::sort(sample.begin(), sample.end());
+  MetricsRegistry registry;
+  registry.AddCollector([&](MetricsRegistry::Emitter* out) {
+    out->Histogram("lat_seconds", "latency", FromLatencyHistogram(h));
+  });
+  const Json snap = registry.JsonSnapshot();
+  const Json* hist = snap.Find("lat_seconds");
+  ASSERT_NE(hist, nullptr);
+  for (const auto& [key, q] :
+       {std::pair<const char*, double>{"p50", 0.50}, {"p95", 0.95},
+        {"p99", 0.99}}) {
+    // The order statistic the histogram ranks by: the ceil(q·n)-th value.
+    const size_t rank = static_cast<size_t>(
+        std::ceil(q * static_cast<double>(sample.size())));
+    const double exact = sample[rank - 1];
+    auto reported = hist->GetNum(key);
+    ASSERT_TRUE(reported.ok()) << key;
+    EXPECT_GE(*reported, exact) << key;
+    EXPECT_LE(*reported, 1.25 * exact) << key;
+  }
+}
+
 TEST(MetricsRegistryTest, SnapshotUnderConcurrentIncrementNeverTears) {
   MetricsRegistry registry;
-  MetricsRegistry::Counter* c = registry.GetCounter("busy_total", "hot");
-  LatencyHistogram* h = registry.GetHistogram("busy_seconds", "hot");
+  std::atomic<uint64_t> busy{0};
+  LatencyHistogram h;
+  registry.AddCollector([&](MetricsRegistry::Emitter* out) {
+    out->Counter("busy_total", "hot", static_cast<double>(busy.load()));
+    out->Histogram("busy_seconds", "hot", FromLatencyHistogram(h));
+  });
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        c->Inc();
-        h->Record(0.001);
+        busy.fetch_add(1, std::memory_order_relaxed);
+        h.Record(0.001);
       }
     });
   }
@@ -226,7 +268,7 @@ TEST(MetricsRegistryTest, SnapshotUnderConcurrentIncrementNeverTears) {
   for (std::thread& w : writers) w.join();
   const std::vector<FamilySnapshot> final_families = registry.Collect();
   EXPECT_EQ(static_cast<uint64_t>(final_families[0].samples[0].value),
-            c->Value());
+            busy.load());
 }
 
 TEST(HistogramDataTest, PercentileEdgeCases) {

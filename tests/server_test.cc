@@ -148,15 +148,25 @@ TEST_F(ServerTest, StatsReflectsServedQueries) {
   ASSERT_GE(fd, 0);
   LineReader reader(fd);
   RoundTrip(fd, &reader, R"js({"op":"query","q":"Q(Model like 'Civic')"})js");
-  const Json r = RoundTrip(fd, &reader, R"js({"op":"stats"})js");
-  auto ok = r.GetBool("ok");
-  ASSERT_TRUE(ok.ok() && *ok) << r.Dump();
-  const Json* stats = r.Find("stats");
-  ASSERT_NE(stats, nullptr);
-  auto completed = stats->GetNum("completed");
+  // The retired stats op answers a typed unknown-op error in band...
+  Json r = RoundTrip(fd, &reader, R"js({"op":"stats"})js");
+  ASSERT_TRUE(r.GetBool("ok").ok()) << r.Dump();
+  EXPECT_FALSE(*r.GetBool("ok"));
+  ASSERT_NE(r.Find("status"), nullptr);
+  Status decoded;
+  ASSERT_TRUE(StatusFromJson(*r.Find("status"), &decoded).ok());
+  EXPECT_EQ(decoded.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.message().find("unknown op"), std::string::npos)
+      << decoded.ToString();
+  // ...and the same connection then serves the registry snapshot.
+  r = RoundTrip(fd, &reader, R"js({"op":"metrics"})js");
+  ASSERT_TRUE(r.GetBool("ok").ok() && *r.GetBool("ok")) << r.Dump();
+  const Json* metrics = r.Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  auto completed = metrics->GetNum("aimq_requests_completed_total");
   ASSERT_TRUE(completed.ok());
   EXPECT_GE(*completed, 1.0);
-  ASSERT_NE(stats->Find("latency"), nullptr);
+  ASSERT_NE(metrics->Find("aimq_request_latency_seconds"), nullptr);
   CloseFd(fd);
 }
 
@@ -222,9 +232,13 @@ TEST_F(ServerTest, MetricsOpAnswersSnapshot) {
   EXPECT_DOUBLE_EQ(r.Find("id")->AsNum(), 5.0);
   const Json* metrics = r.Find("metrics");
   ASSERT_NE(metrics, nullptr);
-  EXPECT_GE(*metrics->GetNum("completed"), 1.0);
-  ASSERT_NE(metrics->Find("phases"), nullptr);
-  EXPECT_NE(metrics->Find("phases")->Find("relax"), nullptr);
+  EXPECT_GE(*metrics->GetNum("aimq_requests_completed_total"), 1.0);
+  const Json* relax = metrics->Find("aimq_phase_relax_seconds");
+  ASSERT_NE(relax, nullptr);
+  EXPECT_TRUE(relax->GetNum("p99").ok());
+  const Json* hit_rate = metrics->Find("aimq_probe_cache_hit_rate");
+  ASSERT_NE(hit_rate, nullptr);
+  EXPECT_TRUE(hit_rate->is_number());
   CloseFd(fd);
 }
 
@@ -266,7 +280,8 @@ TEST_F(ServerTest, HttpMetricsJsonAndUnknownPath) {
   // Body is the last line: one JSON document.
   auto parsed = Json::Parse(json_lines.back());
   ASSERT_TRUE(parsed.ok()) << json_lines.back();
-  EXPECT_NE(parsed->Find("accepted"), nullptr);
+  EXPECT_TRUE(parsed->GetNum("aimq_requests_accepted_total").ok());
+  EXPECT_NE(parsed->Find("aimq_request_latency_seconds"), nullptr);
 
   const auto missing = HttpGet(server_->port(), "/nope");
   ASSERT_FALSE(missing.empty());

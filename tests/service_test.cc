@@ -274,7 +274,7 @@ TEST_F(ServiceTest, DrainWaitsForInFlightWork) {
   service->Stop();
 }
 
-TEST_F(ServiceTest, StatsJsonReportsCountersAndCacheHitRate) {
+TEST_F(ServiceTest, MetricsJsonReportsCountersAndCacheHitRate) {
   ServiceOptions sopts;
   sopts.num_workers = 2;
   sopts.queue_depth = 16;
@@ -282,18 +282,20 @@ TEST_F(ServiceTest, StatsJsonReportsCountersAndCacheHitRate) {
   ASSERT_TRUE(service->Execute(ModelQuery("Camry")).ok());
   ASSERT_TRUE(service->Execute(ModelQuery("Camry")).ok());
 
-  const Json stats = service->StatsJson();
-  auto completed = stats.GetNum("completed");
+  const Json metrics = service->metrics_registry().JsonSnapshot();
+  auto completed = metrics.GetNum("aimq_requests_completed_total");
   ASSERT_TRUE(completed.ok());
   EXPECT_DOUBLE_EQ(*completed, 2.0);
-  const Json* latency = stats.Find("latency");
-  ASSERT_NE(latency, nullptr);
-  EXPECT_TRUE(latency->GetNum("p99_ms").ok());
-  const Json* cache = stats.Find("probe_cache");
-  ASSERT_NE(cache, nullptr);  // engine options enable the probe cache
-  // Identical back-to-back queries hit the shared probe cache (or the
-  // engine's answer path dedup) — the hit-rate field must be well-formed.
-  auto hit_rate = cache->GetNum("hit_rate");
+  for (const char* histogram :
+       {"aimq_request_latency_seconds", "aimq_phase_relax_seconds"}) {
+    const Json* h = metrics.Find(histogram);
+    ASSERT_NE(h, nullptr) << histogram;
+    EXPECT_DOUBLE_EQ(*h->GetNum("count"), 2.0) << histogram;
+    EXPECT_GT(*h->GetNum("p99"), 0.0) << histogram;
+  }
+  // The engine options enable the probe cache. Identical back-to-back
+  // queries hit it — the hit-rate gauge must be well-formed.
+  auto hit_rate = metrics.GetNum("aimq_probe_cache_hit_rate");
   ASSERT_TRUE(hit_rate.ok());
   EXPECT_GE(*hit_rate, 0.0);
   EXPECT_LE(*hit_rate, 1.0);

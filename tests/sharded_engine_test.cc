@@ -1,10 +1,10 @@
 // Sharding determinism contract (DESIGN.md §5h): the scatter/gather facade
-// and the ShardedEngine built on it must answer bit-identically to the
-// unsharded source/engine at every shard count, thread count, snapshot mode
-// (plain or packed shards), and ISA tier. Also pins the row-range plan and
-// the per-shard posting lists for packed snapshots.
+// and the sharded LiveEngine version built on it must answer bit-identically
+// to the unsharded source/engine at every shard count, thread count,
+// snapshot mode (plain or packed shards), and ISA tier. Also pins the
+// row-range plan and the per-shard posting lists for packed snapshots.
 
-#include "shard/sharded_engine.h"
+#include "shard/sharded_web_database.h"
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 
 #include "core/knowledge.h"
 #include "datagen/cardb.h"
+#include "live/live_engine.h"
 #include "query/predicate.h"
 #include "shard/shard_plan.h"
 #include "simd/dispatch.h"
@@ -91,7 +92,7 @@ TEST(ShardPlanTest, RangesAreContiguousDisjointAndCoverEveryRow) {
 // ---------------------------------------------------------------------------
 // Facade + engine equivalence over a real CarDB.
 
-class ShardedEngineTest : public ::testing::Test {
+class ShardedCarDbFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     CarDbSpec spec;
@@ -137,9 +138,12 @@ class ShardedEngineTest : public ::testing::Test {
   static MinedKnowledge* knowledge_;
 };
 
-WebDatabase* ShardedEngineTest::db_ = nullptr;
-AimqOptions* ShardedEngineTest::options_ = nullptr;
-MinedKnowledge* ShardedEngineTest::knowledge_ = nullptr;
+WebDatabase* ShardedCarDbFixture::db_ = nullptr;
+AimqOptions* ShardedCarDbFixture::options_ = nullptr;
+MinedKnowledge* ShardedCarDbFixture::knowledge_ = nullptr;
+
+// Test ids keep their ShardedEngineTest suite name.
+using ShardedEngineTest = ShardedCarDbFixture;
 
 SelectionQuery MakeQuery(std::vector<Predicate> predicates) {
   return SelectionQuery(std::move(predicates));
@@ -279,10 +283,14 @@ void ExpectShardedMatchesSerial(const WebDatabase& db,
   ShardedEngineOptions sharding;
   sharding.num_shards = num_shards;
   sharding.packed_shards = packed;
-  ShardedEngine sharded(&db, knowledge, eopts, sharding);
-  ASSERT_TRUE(sharded.build_status().ok())
-      << sharded.build_status().ToString();
-  ASSERT_EQ(sharded.num_shards(), num_shards);
+  auto live = LiveEngine::Create(&db, knowledge, LiveOptions{eopts, sharding});
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  const std::shared_ptr<const ServingVersion> version = (*live)->Acquire();
+  ASSERT_TRUE(version->shard_build_status.ok())
+      << version->shard_build_status.ToString();
+  ASSERT_EQ(version->facade != nullptr ? version->facade->num_shards() : 1,
+            num_shards);
+  AimqEngine& sharded = *version->engine;
 
   for (const ImpreciseQuery& query : TestQueries()) {
     RelaxationStats want_stats;

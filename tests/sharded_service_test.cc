@@ -2,7 +2,7 @@
 // answers bit-identically to the unsharded engine, per-tenant quotas reject
 // deterministically, stride scheduling drains tenants by weight in a
 // deterministic total order, and the shard/tenant-labelled metric families
-// surface in both StatsJson and the Prometheus exposition text.
+// surface in both the metrics JSON and the Prometheus exposition text.
 
 #include "service/service.h"
 
@@ -143,7 +143,7 @@ TEST_F(ShardedServiceTest, ShardedServiceMatchesUnshardedEngine) {
   service.Stop();
 }
 
-TEST_F(ShardedServiceTest, StatsJsonReportsShardAndCoalescingCounters) {
+TEST_F(ShardedServiceTest, MetricsJsonReportsShardAndCoalescingCounters) {
   ServiceOptions sopts;
   sopts.num_workers = 2;
   sopts.num_shards = 3;
@@ -153,10 +153,23 @@ TEST_F(ShardedServiceTest, StatsJsonReportsShardAndCoalescingCounters) {
   service.Stop();
 
   ASSERT_EQ(service.ShardStats().size(), 3u);
-  const std::string stats = service.StatsJson().Dump();
-  EXPECT_NE(stats.find("\"shards\""), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"coalesced\""), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"tenants\""), std::string::npos) << stats;
+  const Json metrics = service.metrics_registry().JsonSnapshot();
+  const Json* shards = metrics.Find("aimq_shard_probes_total");
+  ASSERT_NE(shards, nullptr) << metrics.Dump();
+  ASSERT_TRUE(shards->is_array());
+  ASSERT_EQ(shards->AsArr().size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(*shards->AsArr()[i].GetStr("shard"), std::to_string(i));
+    EXPECT_TRUE(shards->AsArr()[i].GetNum("value").ok());
+  }
+  EXPECT_TRUE(metrics.GetNum("aimq_probe_cache_coalesced_total").ok())
+      << metrics.Dump();
+  const Json* tenants = metrics.Find("aimq_tenant_accepted_total");
+  ASSERT_NE(tenants, nullptr) << metrics.Dump();
+  ASSERT_TRUE(tenants->is_array());
+  ASSERT_EQ(tenants->AsArr().size(), 1u);
+  EXPECT_EQ(*tenants->AsArr()[0].GetStr("tenant"), "default");
+  EXPECT_DOUBLE_EQ(*tenants->AsArr()[0].GetNum("value"), 1.0);
 }
 
 TEST_F(ShardedServiceTest, PrometheusTextExposesShardAndTenantFamilies) {
@@ -168,10 +181,14 @@ TEST_F(ShardedServiceTest, PrometheusTextExposesShardAndTenantFamilies) {
   ASSERT_TRUE(service.Execute(ModelQuery("Camry"), 0, 0, "acme").ok());
   service.Stop();
 
-  const std::vector<ShardProbeSnapshot> shards = service.ShardStats();
-  const ProbeCacheStats cache = service.probe_cache()->stats();
-  const std::string text =
-      PrometheusMetricsText(service.metrics(), &cache, &shards);
+  obs::MetricsRegistry registry;
+  registry.AddCollector([&](obs::MetricsRegistry::Emitter* out) {
+    EmitServiceMetrics(service.metrics(), out);
+    EmitProbeCache(service.probe_cache()->stats(), out);
+    EmitTenants(service.metrics().TenantSnapshot(), out);
+    EmitShards(service.ShardStats(), out);
+  });
+  const std::string text = registry.PrometheusText();
   EXPECT_NE(text.find("aimq_shard_probes_total{shard=\"0\"}"),
             std::string::npos)
       << text;

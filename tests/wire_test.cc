@@ -118,9 +118,10 @@ TEST(WireRequestTest, ParsesPingAndStats) {
   ASSERT_TRUE(ping.ok());
   EXPECT_EQ(ping->op, WireRequest::Op::kPing);
   EXPECT_FALSE(ping->has_id);
+  // The stats op is retired ({"op":"metrics"} serves the registry).
   auto stats = ParseWireRequest(R"js({"op":"stats"})js");
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->op, WireRequest::Op::kStats);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(WireRequestTest, ParsesMetricsOp) {
