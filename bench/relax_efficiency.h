@@ -65,7 +65,7 @@ inline RelaxProtocolRun RunProtocol(AimqEngine& engine, const Relation& hidden,
   RelaxProtocolRun run;
   Stopwatch timer;
   for (size_t rep = 0; rep < repetitions; ++rep) {
-    engine.SetProbeCache(std::make_shared<ProbeCache>(1 << 16));
+    engine.probe_cache()->Clear();
     run.stats.assign(thresholds.size(),
                      std::vector<RelaxationStats>(probe_rows.size()));
     run.answers.assign(
@@ -137,7 +137,9 @@ inline int RunRelaxEfficiency(RelaxationStrategy strategy,
                  knowledge.status().ToString().c_str());
     return 1;
   }
-  AimqEngine engine(&db, knowledge.TakeValue(), options);
+  // One 65,536-entry cache, cleared before every repetition of the protocol.
+  AimqEngine engine(&db, knowledge.TakeValue(), options,
+                    std::make_shared<ProbeCache>(1 << 16));
 
   // 10 random probe tuples, the same ones for every threshold and strategy
   // (fixed seed).

@@ -6,7 +6,7 @@
 // The bench is also a correctness harness: every accepted request's ranked
 // answers are compared bit-for-bit against a serial (1-thread, cold-cache)
 // reference engine; any divergence makes the process exit non-zero. Sharded
-// runs (--shards=N) are held to the same bar: the scatter/gather engine
+// runs (--shards=N) are held to the same bar: the sharded engine
 // must reproduce the unsharded serial reference exactly. Run it under
 // -DAIMQ_SANITIZE=thread to shake the serving layer's locking.
 //

@@ -19,8 +19,8 @@
 //   --deadline-ms=N  default per-request deadline, queue wait included
 //                    (0 = none, default 0)
 //   --cache=N        shared probe-cache capacity in entries (default 4096)
-//   --shards=N       row-range engine shards behind the scatter/gather
-//                    facade (default 1 = unsharded; answers are identical)
+//   --shards=N       row-range shards behind the engine's probe facade
+//                    (default 1 = unsharded; answers are identical)
 //   --packed-shards  store shard snapshots block-compressed
 //   --no-coalesce    disable cross-query probe coalescing
 //   --tenant-quota=N per-tenant queued-request cap (0 = off, default 0);

@@ -47,13 +47,15 @@ class PhaseTimer {
 }  // namespace
 
 AimqEngine::AimqEngine(const WebDatabase* source, MinedKnowledge knowledge,
-                       AimqOptions options)
+                       AimqOptions options,
+                       std::shared_ptr<ProbeCache> probe_cache)
     : source_(source),
       knowledge_(std::move(knowledge)),
       options_(options),
       sim_(&source->schema(), &knowledge_.ordering, &knowledge_.vsim,
-           options.numeric_sim) {
-  if (options_.probe_cache_capacity > 0) {
+           options.numeric_sim),
+      probe_cache_(std::move(probe_cache)) {
+  if (probe_cache_ == nullptr && options_.probe_cache_capacity > 0) {
     probe_cache_ = std::make_shared<ProbeCache>(options_.probe_cache_capacity);
   }
   const Schema& schema = source_->schema();
@@ -100,12 +102,12 @@ Result<std::vector<uint32_t>> AimqEngine::Probe(const SelectionQuery& query,
                                                 ProbeContext* ctx, bool* fresh,
                                                 uint64_t trace_id) {
   TraceSpan span(trace_, "probe", "engine", trace_id);
-  // Layers below the cache (a sharded source facade's scatter legs) have no
-  // QueryControl in scope; the thread-local scope hands them the request id
-  // so their spans correlate with this probe's.
+  // Layers below the cache (the per-shard legs of a sharded source facade)
+  // have no QueryControl in scope; the thread-local scope hands them the
+  // request id so their spans correlate with this probe's.
   TraceRequestScope request_scope(trace_id);
   if (fresh != nullptr) *fresh = false;
-  if (probe_cache_ != nullptr && probe_cache_->capacity() > 0) {
+  if (probe_cache_ != nullptr) {
     bool hit = false;
     AIMQ_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
                           probe_cache_->ExecuteRows(*source_, query, &hit));
@@ -304,28 +306,13 @@ Result<std::vector<RankedAnswer>> AimqEngine::Answer(
         base_set.size() > options_.base_set_limit) {
       // Keep the base tuples closest to Q (matters when the base query had to
       // be generalized and its answers no longer satisfy Q exactly).
-      if (shard_ranker_ != nullptr) {
-        // Scatter/gather path: per-shard top-k merged by (score desc, row
-        // asc) — bit-identical to the serial TopK below because base_set
-        // arrives ascending, making insertion-order ties equal to row-id
-        // ties.
-        std::vector<std::pair<double, uint32_t>> best =
-            shard_ranker_->RankTopK(
-                base_set, options_.base_set_limit,
-                [&](uint32_t row) { return coded_sim_.Score(enc_query, row); });
-        base_set.clear();
-        for (auto& [score, row] : best) {
-          base_set.push_back(row);
-        }
-      } else {
-        TopK<uint32_t> best(options_.base_set_limit);
-        for (uint32_t row : base_set) {
-          best.Add(coded_sim_.Score(enc_query, row), row);
-        }
-        base_set.clear();
-        for (auto& [score, row] : best.Extract()) {
-          base_set.push_back(row);
-        }
+      TopK<uint32_t> best(options_.base_set_limit);
+      for (uint32_t row : base_set) {
+        best.Add(coded_sim_.Score(enc_query, row), row);
+      }
+      base_set.clear();
+      for (auto& [score, row] : best.Extract()) {
+        base_set.push_back(row);
       }
     }
   }

@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -33,26 +32,6 @@ namespace aimq {
 struct RankedAnswer {
   Tuple tuple;
   double similarity = 0.0;
-};
-
-/// \brief Pluggable top-k executor for row-partitioned (sharded) sources.
-///
-/// The engine's base-set trimming reduces an ascending row-id list to the k
-/// best rows under a scoring function. A sharded source can execute that as
-/// per-shard top-k scans merged by a deterministic rule; the contract is
-/// bit-identical output to the engine's own serial path: rows ordered by
-/// (score descending, row id ascending) — exactly what TopK<uint32_t> fed
-/// rows in ascending order produces, because its ties resolve by insertion
-/// order.
-class ShardRanker {
- public:
-  virtual ~ShardRanker() = default;
-
-  /// Returns the k best of \p rows (which arrive in ascending order) under
-  /// \p score, as (score, row) pairs sorted by (score desc, row asc).
-  virtual std::vector<std::pair<double, uint32_t>> RankTopK(
-      const std::vector<uint32_t>& rows, size_t k,
-      const std::function<double(uint32_t)>& score) const = 0;
 };
 
 /// Probe-level accounting of one relaxation run (Figures 6 and 7 report
@@ -150,9 +129,13 @@ struct RelaxationStats {
 class AimqEngine {
  public:
   /// \p source must outlive the engine; \p knowledge is what BuildKnowledge
-  /// mined from it.
+  /// mined from it. \p probe_cache (optional) is the cache in front of
+  /// \p source; sharing one across engines over the same source dedupes
+  /// relaxation probes across sessions. Without one the engine builds its
+  /// own of options.probe_cache_capacity entries, or none when that is 0.
   AimqEngine(const WebDatabase* source, MinedKnowledge knowledge,
-             AimqOptions options);
+             AimqOptions options,
+             std::shared_ptr<ProbeCache> probe_cache = nullptr);
 
   // The similarity function holds pointers into knowledge_, so the engine
   // must stay at a fixed address: construct it in place (or behind a
@@ -231,16 +214,9 @@ class AimqEngine {
       const RelevanceFeedback& feedback, const Tuple& query_tuple,
       const std::vector<JudgedAnswer>& judged);
 
-  /// Replaces the shared probe cache. Sharing one ProbeCache across engines
-  /// over the same source dedupes relaxation probes across sessions; pass
-  /// nullptr to probe the source directly (per-call dedup still applies).
-  /// Not thread-safe against in-flight queries — set it between calls.
-  void SetProbeCache(std::shared_ptr<ProbeCache> cache) {
-    probe_cache_ = std::move(cache);
-  }
-
-  /// The probe cache in front of WebDatabase::Execute (never null unless
-  /// options().probe_cache_capacity was 0 and no cache was attached).
+  /// The probe cache in front of WebDatabase::Execute (null only when none
+  /// was passed and options().probe_cache_capacity was 0; probes then go to
+  /// the source, deduped per call).
   const std::shared_ptr<ProbeCache>& probe_cache() const {
     return probe_cache_;
   }
@@ -259,13 +235,6 @@ class AimqEngine {
   /// one pointer test). The recorder must outlive the engine; not
   /// thread-safe against in-flight queries, set it before serving.
   void SetTraceRecorder(TraceRecorder* recorder) { trace_ = recorder; }
-
-  /// Attaches a shard-aware top-k executor: base-set trimming then runs as
-  /// per-shard scans merged deterministically instead of one serial pass
-  /// (answers are bit-identical by the ShardRanker contract). Pass nullptr
-  /// to detach (the default). The ranker must outlive the engine; set it
-  /// before serving.
-  void SetShardRanker(const ShardRanker* ranker) { shard_ranker_ = ranker; }
 
  private:
   // Per-call probe bookkeeping: when no shared ProbeCache is attached, memo
@@ -333,8 +302,6 @@ class AimqEngine {
   QueryLog* query_log_ = nullptr;
   // Span recorder for end-to-end tracing; nullptr = tracing off (default).
   TraceRecorder* trace_ = nullptr;
-  // Shard-aware top-k executor; nullptr = the engine's own serial TopK.
-  const ShardRanker* shard_ranker_ = nullptr;
 };
 
 }  // namespace aimq

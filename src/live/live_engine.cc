@@ -48,7 +48,7 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Create(
   if (live->options_.engine.probe_cache_capacity > 0) {
     live->cache_ = std::make_shared<ProbeCache>(
         live->options_.engine.probe_cache_capacity);
-    live->cache_->EnableCoalescing(live->options_.shards.coalesce_probes);
+    live->cache_->EnableCoalescing(live->options_.coalesce_probes);
   }
 
   auto v0 = std::make_shared<ServingVersion>();
@@ -75,24 +75,21 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Create(
       /*version=*/1, v0->snapshot_version, v0->num_rows,
       std::move(knowledge)});
   v0->knowledge_version = v0->knowledge->version;
-  v0->engine =
-      live->BuildEngine(v0->probe_source(), v0->facade.get(), *v0->knowledge);
+  v0->engine = live->BuildEngine(v0->probe_source(), *v0->knowledge);
   live->current_.store(std::shared_ptr<const ServingVersion>(std::move(v0)),
                        std::memory_order_release);
   return live;
 }
 
 std::unique_ptr<AimqEngine> LiveEngine::BuildEngine(
-    const WebDatabase* probe_source, const ShardedWebDatabase* facade,
-    const KnowledgeVersion& kv) const {
+    const WebDatabase* probe_source, const KnowledgeVersion& kv) const {
   // Each version gets its own engine over a *copy* of the knowledge edition
   // (relevance feedback on one version's engine never leaks into another).
-  auto engine = std::make_unique<AimqEngine>(probe_source, kv.knowledge,
-                                             options_.engine);
-  if (facade != nullptr) engine->SetShardRanker(facade);
   // All versions share one probe cache; version-tagged keys keep entries
-  // from ever crossing versions (nullptr = configured pass-through).
-  engine->SetProbeCache(cache_);
+  // from ever crossing versions. cache_ is null only when the configured
+  // capacity is 0, and then the engine builds none either.
+  auto engine = std::make_unique<AimqEngine>(probe_source, kv.knowledge,
+                                             options_.engine, cache_);
   if (trace_ != nullptr) engine->SetTraceRecorder(trace_);
   return engine;
 }
@@ -198,8 +195,7 @@ Result<uint64_t> LiveEngine::PublishSnapshot() {
   next->facade = facade;
   next->knowledge = cur->knowledge;
   next->shard_build_status = shard_status;
-  next->engine =
-      BuildEngine(next->probe_source(), facade.get(), *next->knowledge);
+  next->engine = BuildEngine(next->probe_source(), *next->knowledge);
 
   truth_ = std::move(truth);
   current_.store(std::shared_ptr<const ServingVersion>(std::move(next)),
@@ -231,8 +227,7 @@ Result<uint64_t> LiveEngine::RefreshKnowledge() {
   next->facade = cur->facade;
   next->knowledge = std::move(kv);
   next->shard_build_status = cur->shard_build_status;
-  next->engine =
-      BuildEngine(next->probe_source(), next->facade.get(), *next->knowledge);
+  next->engine = BuildEngine(next->probe_source(), *next->knowledge);
 
   current_.store(std::shared_ptr<const ServingVersion>(std::move(next)),
                  std::memory_order_release);

@@ -14,10 +14,11 @@
 // Snapshot production is incremental (ColumnarRelation::Extend): appends
 // extend the dictionaries and columns in delta-proportional time instead of
 // re-encoding the relation, and posting lists extend the previous version's
-// lists (WebDatabase::ExtendPostingLists). The probe cache is *shared*
-// across versions — keys embed the snapshot version, so entries can never
-// cross versions; publish ages out superseded entries by version
-// (ProbeCache::EvictVersionsBelow).
+// lists (WebDatabase::ExtendPostingLists). One probe cache serves every
+// version: it sits in front of the version's probe source (the shard facade
+// when sharded), each version's engine is built holding it, and keys embed
+// the snapshot version, so entries can never cross versions; publish ages
+// out superseded entries by version (ProbeCache::EvictVersionsBelow).
 
 #ifndef AIMQ_LIVE_LIVE_ENGINE_H_
 #define AIMQ_LIVE_LIVE_ENGINE_H_
@@ -50,6 +51,10 @@ struct LiveOptions {
   /// serving snapshot is packed is inherited from the initial source's
   /// snapshot, not from shards.packed_shards.
   ShardedEngineOptions shards;
+  /// Group-commit probe coalescing on the shared ProbeCache: identical
+  /// in-flight probes from concurrent sessions park on one scan. Also makes
+  /// probe accounting exactly-once per distinct probe key.
+  bool coalesce_probes = true;
 };
 
 /// \brief One immutable published edition of the full serving stack.
@@ -74,7 +79,7 @@ struct ServingVersion {
   /// knowledge refresh mines against). For the initial version this aliases
   /// the externally owned source.
   std::shared_ptr<const WebDatabase> source;
-  /// Scatter/gather facade; nullptr when unsharded (or degraded).
+  /// Row-range shard facade; nullptr when unsharded (or degraded).
   std::shared_ptr<ShardedWebDatabase> facade;
   std::shared_ptr<const KnowledgeVersion> knowledge;
   /// The engine queries admitted at this version run on. unique_ptr's
@@ -171,10 +176,9 @@ class LiveEngine {
  private:
   LiveEngine() = default;
 
-  // Builds the engine of a new version: knowledge copy, shard ranker,
-  // shared probe cache, trace recorder.
+  // Builds the engine of a new version: knowledge copy, shared probe cache,
+  // trace recorder.
   std::unique_ptr<AimqEngine> BuildEngine(const WebDatabase* probe_source,
-                                          const ShardedWebDatabase* facade,
                                           const KnowledgeVersion& kv) const;
 
   std::string name_;

@@ -159,14 +159,8 @@ void EmitShards(const std::vector<ShardProbeSnapshot>& shards, Emitter* out) {
     out->Counter("aimq_shard_tuples_total",
                  "Tuples shipped by each row-range shard.",
                  static_cast<double>(s.tuples_returned), labels);
-    out->Counter("aimq_shard_cache_lookups_total",
-                 "Shard probe-cache lookups.",
-                 static_cast<double>(s.cache.lookups), labels);
-    out->Counter("aimq_shard_cache_hits_total", "Shard probe-cache hits.",
-                 static_cast<double>(s.cache.hits), labels);
     out->Histogram("aimq_shard_probe_seconds",
-                   "Scatter-leg latency of each row-range shard (cache hits "
-                   "included).",
+                   "Probe latency of each row-range shard.",
                    obs::FromHistogramSnapshot(s.latency), labels);
   }
 }

@@ -58,7 +58,7 @@ void EmitTenants(const std::map<std::string, TenantCounters>& tenants,
                  obs::MetricsRegistry::Emitter* out);
 
 /// Per-shard probe accounting as `{shard="N"}`-labelled families, including
-/// the scatter-leg latency histogram aimq_shard_probe_seconds.
+/// the per-shard probe latency histogram aimq_shard_probe_seconds.
 void EmitShards(const std::vector<ShardProbeSnapshot>& shards,
                 obs::MetricsRegistry::Emitter* out);
 

@@ -164,11 +164,10 @@ std::string AimqServer::HandleIngest(const WireRequest& request) {
 }
 
 std::string AimqServer::HandleLine(const std::string& line) {
-  auto parsed = ParseWireRequest(line);
-  if (!parsed.ok()) {
-    return MakeErrorResponse(WireRequest{}, parsed.status()).Dump();
+  WireRequest request;
+  if (Status parsed = ParseWireRequest(line, &request); !parsed.ok()) {
+    return MakeErrorResponse(request, parsed).Dump();
   }
-  const WireRequest& request = *parsed;
   switch (request.op) {
     case WireRequest::Op::kPing: {
       Json out = Json::Obj();

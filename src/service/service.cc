@@ -17,16 +17,6 @@ constexpr size_t kSlowQueryRingCap = 128;
 // The tenant label requests without one run under.
 const char kDefaultTenant[] = "default";
 
-ShardedEngineOptions ShardOptionsFrom(const ServiceOptions& service_options) {
-  ShardedEngineOptions opts;
-  opts.num_shards = service_options.num_shards;
-  opts.packed_shards = service_options.packed_shards;
-  opts.shard_cache_capacity = service_options.shard_cache_capacity;
-  opts.scatter_threads = service_options.scatter_threads;
-  opts.coalesce_probes = service_options.coalesce_probes;
-  return opts;
-}
-
 }  // namespace
 
 AimqService::AimqService(const WebDatabase* source, MinedKnowledge knowledge,
@@ -35,7 +25,9 @@ AimqService::AimqService(const WebDatabase* source, MinedKnowledge knowledge,
     : source_(source), service_options_(service_options) {
   LiveOptions live_options;
   live_options.engine = std::move(engine_options);
-  live_options.shards = ShardOptionsFrom(service_options);
+  live_options.shards.num_shards = service_options.num_shards;
+  live_options.shards.packed_shards = service_options.packed_shards;
+  live_options.coalesce_probes = service_options.coalesce_probes;
   // Create degrades (never fails): a packed shard build failure serves
   // unsharded and surfaces through shard_build_status().
   live_ = LiveEngine::Create(source, std::move(knowledge),

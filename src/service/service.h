@@ -20,7 +20,7 @@
 //    the global queue) and stride-scheduled weighted-fair dequeue. With one
 //    tenant and no quota this degenerates to the original FIFO exactly.
 //  - Sharding: ServiceOptions::num_shards > 1 serves every version through
-//    a ShardedWebDatabase — row-range shards behind a scatter/gather facade —
+//    a ShardedWebDatabase — row-range shards behind one facade —
 //    with answers bit-identical to the unsharded engine (DESIGN.md §5h).
 //  - Deadlines: each request carries a QueryControl whose deadline starts at
 //    *submit* time, so queue wait counts against it. Workers pass the
@@ -97,20 +97,12 @@ struct ServiceOptions {
 
   // -- Scale-out (see DESIGN.md §5h) ---------------------------------------
 
-  /// Row-range engine shards behind the scatter/gather facade; <= 1 serves
-  /// from the unsharded source. Answers are bit-identical either way.
+  /// Row-range shards behind the facade the engine probes; <= 1 serves from
+  /// the unsharded source. Answers are bit-identical either way.
   size_t num_shards = 1;
 
   /// Store shard snapshots packed (block-compressed) instead of plain.
   bool packed_shards = false;
-
-  /// Per-shard ProbeCache capacity in entries (0 disables shard caches).
-  size_t shard_cache_capacity = 4096;
-
-  /// Threads for the per-probe scatter fan-out (0 = legs run inline on the
-  /// probing worker, which is the right default: workers already parallelize
-  /// across requests).
-  size_t scatter_threads = 0;
 
   /// Cross-query probe coalescing on the engine-level shared ProbeCache:
   /// concurrent identical probes park on one source scan.

@@ -58,7 +58,9 @@ Json RankedAnswerToJson(const Schema& schema, const RankedAnswer& answer) {
   return out;
 }
 
-Result<WireRequest> ParseWireRequest(const std::string& line) {
+Status ParseWireRequest(const std::string& line, WireRequest* out) {
+  WireRequest& req = *out;
+  req = WireRequest{};
   auto parsed = Json::Parse(line);
   if (!parsed.ok()) {
     return parsed.status().WithContext("request line");
@@ -67,7 +69,15 @@ Result<WireRequest> ParseWireRequest(const std::string& line) {
   if (!json.is_object()) {
     return Status::InvalidArgument("request must be a JSON object");
   }
-  WireRequest req;
+  // The id comes first: a request failing any later check still has its
+  // id echoed in the error response.
+  if (const Json* id = json.Find("id"); id != nullptr) {
+    if (!id->is_number()) {
+      return Status::InvalidArgument("id must be a number");
+    }
+    req.has_id = true;
+    req.id = id->AsNum();
+  }
   AIMQ_ASSIGN_OR_RETURN(std::string op, json.GetStr("op"));
   if (op == "ping") {
     req.op = WireRequest::Op::kPing;
@@ -104,20 +114,13 @@ Result<WireRequest> ParseWireRequest(const std::string& line) {
     }
     req.request_id = static_cast<uint64_t>(rid->AsNum());
   }
-  if (const Json* id = json.Find("id"); id != nullptr) {
-    if (!id->is_number()) {
-      return Status::InvalidArgument("id must be a number");
-    }
-    req.has_id = true;
-    req.id = id->AsNum();
-  }
   if (const Json* t = json.Find("tenant"); t != nullptr) {
     if (!t->is_string()) {
       return Status::InvalidArgument("tenant must be a string");
     }
     req.tenant = t->AsStr();
   }
-  return req;
+  return Status::OK();
 }
 
 Json MakeErrorResponse(const WireRequest& request, const Status& status) {

@@ -107,9 +107,10 @@ struct WireRequest {
   std::string tenant;
 };
 
-/// Parses one request line. Unknown "op" values and malformed JSON are
-/// InvalidArgument.
-Result<WireRequest> ParseWireRequest(const std::string& line);
+/// Parses one request line into \p out. Unknown "op" values and malformed
+/// JSON are InvalidArgument. The id is read before any other field, so when
+/// a later check fails, \p out still carries the id for MakeErrorResponse.
+Status ParseWireRequest(const std::string& line, WireRequest* out);
 
 /// Builds the error response line ({"ok":false,"status":{...}}), echoing
 /// \p request's id when it has one.

@@ -108,7 +108,7 @@ class TraceRecorder {
 
   /// The request id installed on this thread by the innermost live
   /// TraceRequestScope (0 when none). Lets layers below the engine — e.g. a
-  /// scatter/gather source facade that never sees a QueryControl — tag their
+  /// sharded source facade that never sees a QueryControl — tag their
   /// spans with the request being served.
   static uint64_t CurrentRequestId();
 

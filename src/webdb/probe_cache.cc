@@ -17,7 +17,6 @@ Result<std::vector<uint32_t>> ProbeCache::ExecuteRows(const WebDatabase& db,
                                                       const SelectionQuery& query,
                                                       bool* hit) {
   if (hit != nullptr) *hit = false;
-  if (capacity_ == 0) return db.ExecuteRows(query);
 
   // Only bookkeeping runs under the stripe lock. Keys are hashed, flights
   // allocated and row vectors copied or freed outside it: every relaxation

@@ -47,6 +47,7 @@
 
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -87,9 +88,11 @@ struct ProbeCacheStats {
 /// \brief Thread-safe LRU cache over coded selection-query keys.
 class ProbeCache {
  public:
-  /// \p capacity is the number of distinct queries retained; 0 makes the
-  /// cache a pass-through (every Execute probes the source).
-  explicit ProbeCache(size_t capacity) : capacity_(capacity) {}
+  /// \p capacity is the number of distinct queries retained and must be at
+  /// least 1. A caller that wants no cache holds no ProbeCache.
+  explicit ProbeCache(size_t capacity) : capacity_(capacity) {
+    assert(capacity > 0);
+  }
 
   ProbeCache(const ProbeCache&) = delete;
   ProbeCache& operator=(const ProbeCache&) = delete;
@@ -139,7 +142,6 @@ class ProbeCache {
   /// a blocked leader).
   size_t InFlightWaiters() const;
 
-  size_t capacity() const { return capacity_; }
   size_t size() const;
   ProbeCacheStats stats() const;
 

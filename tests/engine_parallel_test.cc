@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -39,12 +40,14 @@ class EngineParallelTest : public ::testing::Test {
     db_ = nullptr;
   }
 
-  static std::unique_ptr<AimqEngine> MakeEngine(size_t num_threads,
-                                                size_t probe_cache_capacity) {
+  static std::unique_ptr<AimqEngine> MakeEngine(
+      size_t num_threads, size_t probe_cache_capacity,
+      std::shared_ptr<ProbeCache> probe_cache = nullptr) {
     AimqOptions options = *options_;
     options.num_threads = num_threads;
     options.probe_cache_capacity = probe_cache_capacity;
-    return std::make_unique<AimqEngine>(db_, *knowledge_, options);
+    return std::make_unique<AimqEngine>(db_, *knowledge_, options,
+                                        std::move(probe_cache));
   }
 
   static std::vector<ImpreciseQuery> TestQueries() {
@@ -164,10 +167,8 @@ TEST_F(EngineParallelTest, DeriveBaseSetMatchesAcrossThreadCounts) {
 
 TEST_F(EngineParallelTest, SharedProbeCacheDedupesAcrossEngines) {
   auto cache = std::make_shared<ProbeCache>(4096);
-  auto first = MakeEngine(1, 0);
-  auto second = MakeEngine(1, 0);
-  first->SetProbeCache(cache);
-  second->SetProbeCache(cache);
+  auto first = MakeEngine(1, 0, cache);
+  auto second = MakeEngine(1, 0, cache);
 
   ImpreciseQuery q;
   q.Bind("Model", Value::Cat("Corolla"));

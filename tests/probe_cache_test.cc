@@ -119,18 +119,6 @@ TEST(ProbeCacheTest, LruEvictionDropsTheColdestEntry) {
   EXPECT_EQ(db.stats().queries_issued, probes_before + 1);
 }
 
-TEST(ProbeCacheTest, ZeroCapacityIsAPassThrough) {
-  WebDatabase db = MakeDb();
-  ProbeCache cache(0);
-  bool hit = true;
-  ASSERT_TRUE(cache.Execute(db, MakeQuery("Toyota"), &hit).ok());
-  EXPECT_FALSE(hit);
-  ASSERT_TRUE(cache.Execute(db, MakeQuery("Toyota"), &hit).ok());
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(db.stats().queries_issued, 2u);
-}
-
 TEST(ProbeCacheTest, ErrorsAreNotCached) {
   WebDatabase db = MakeDb();
   ProbeCache cache(8);

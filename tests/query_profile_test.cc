@@ -89,16 +89,18 @@ TEST(QueryProfileTest, ToJsonCarriesPhasesAndDeltas) {
 }
 
 TEST(WireExplainTest, ParseExplainOp) {
-  auto parsed = ParseWireRequest(
+  WireRequest parsed;
+  const Status status = ParseWireRequest(
       "{\"op\":\"explain\",\"q\":\"Q(Model like Camry)\",\"deadline_ms\":100,"
-      "\"tenant\":\"acme\"}");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->op, WireRequest::Op::kExplain);
-  EXPECT_EQ(parsed->query_text, "Q(Model like Camry)");
-  EXPECT_EQ(parsed->deadline_ms, 100u);
-  EXPECT_EQ(parsed->tenant, "acme");
+      "\"tenant\":\"acme\"}",
+      &parsed);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(parsed.op, WireRequest::Op::kExplain);
+  EXPECT_EQ(parsed.query_text, "Q(Model like Camry)");
+  EXPECT_EQ(parsed.deadline_ms, 100u);
+  EXPECT_EQ(parsed.tenant, "acme");
   // Like query, explain requires "q".
-  EXPECT_FALSE(ParseWireRequest("{\"op\":\"explain\"}").ok());
+  EXPECT_FALSE(ParseWireRequest("{\"op\":\"explain\"}", &parsed).ok());
 }
 
 class ExplainServiceTest : public ::testing::Test {

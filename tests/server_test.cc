@@ -203,6 +203,26 @@ TEST_F(ServerTest, ProtocolErrorsAnswerInBandAndKeepTheConnection) {
   CloseFd(fd);
 }
 
+TEST_F(ServerTest, LinesFailingToParseEchoTheirId) {
+  const int fd = Connect();
+  ASSERT_GE(fd, 0);
+  LineReader reader(fd);
+  // An unknown op and a query without q fail parsing after the id is read.
+  Json r = RoundTrip(fd, &reader, R"js({"op":"nope","id":3})js");
+  ASSERT_NE(r.Find("id"), nullptr) << r.Dump();
+  EXPECT_DOUBLE_EQ(r.Find("id")->AsNum(), 3.0);
+  EXPECT_FALSE(*r.GetBool("ok"));
+  r = RoundTrip(fd, &reader, R"js({"op":"query","id":4})js");
+  ASSERT_NE(r.Find("id"), nullptr) << r.Dump();
+  EXPECT_DOUBLE_EQ(r.Find("id")->AsNum(), 4.0);
+  EXPECT_FALSE(*r.GetBool("ok"));
+  // A line that is not JSON has no id to echo.
+  r = RoundTrip(fd, &reader, R"js(not json, "id":5)js");
+  EXPECT_EQ(r.Find("id"), nullptr) << r.Dump();
+  EXPECT_FALSE(*r.GetBool("ok"));
+  CloseFd(fd);
+}
+
 TEST_F(ServerTest, QueryResponseCarriesRequestId) {
   const int fd = Connect();
   ASSERT_GE(fd, 0);

@@ -104,7 +104,7 @@ class ShardedCarDbFixture : public ::testing::Test {
     options_->tsim = 0.4;
     options_->top_k = 10;
     options_->base_set_limit = 12;  // small enough that every test query
-                                    // exercises the sharded top-k trim
+                                    // exercises the base-set top-k trim
     // No evictions: with coalescing on, an eviction-free cache makes probe
     // accounting (miss exactly once per distinct key) deterministic even
     // under the parallel relaxation fan-out — which is what the stats
@@ -241,29 +241,6 @@ TEST_F(ShardedEngineTest, FacadeAccountsProbesLikeTheSource) {
   EXPECT_EQ(shard_tuples, rows->size());
 }
 
-TEST_F(ShardedEngineTest, RankTopKMergesLikeSerialTopKWithRowIdTieBreak) {
-  auto facade = MakeFacade(/*shards=*/3, /*packed=*/false);
-  std::vector<uint32_t> rows;
-  for (uint32_t row = 0; row < 600; row += 2) rows.push_back(row);
-  // Heavily tied scores: the merge must break ties by ascending row id,
-  // exactly like a serial TopK fed ascending rows.
-  const auto score = [](uint32_t row) {
-    return static_cast<double>(row % 5);
-  };
-  for (size_t k : {1u, 7u, 50u, 600u}) {
-    const auto ranked = facade->RankTopK(rows, k, score);
-    std::vector<std::pair<double, uint32_t>> expected;
-    for (uint32_t row : rows) expected.emplace_back(score(row), row);
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const auto& a, const auto& b) {
-                       if (a.first != b.first) return a.first > b.first;
-                       return a.second < b.second;
-                     });
-    if (expected.size() > k) expected.resize(k);
-    EXPECT_EQ(ranked, expected) << "k=" << k;
-  }
-}
-
 // The property: for every (shards, threads, snapshot mode) configuration,
 // answers, similarity scores, and probe-accounting totals are bit-identical
 // to a serial single-shard engine. Probe coalescing (on by default) makes
@@ -273,7 +250,9 @@ void ExpectShardedMatchesSerial(const WebDatabase& db,
                                 const MinedKnowledge& knowledge,
                                 const AimqOptions& base_options,
                                 size_t num_shards, size_t num_threads,
-                                bool packed) {
+                                bool packed,
+                                const std::vector<ImpreciseQuery>& queries =
+                                    TestQueries()) {
   AimqOptions serial = base_options;
   serial.num_threads = 1;
   AimqEngine reference(&db, knowledge, serial);
@@ -292,7 +271,7 @@ void ExpectShardedMatchesSerial(const WebDatabase& db,
             num_shards);
   AimqEngine& sharded = *version->engine;
 
-  for (const ImpreciseQuery& query : TestQueries()) {
+  for (const ImpreciseQuery& query : queries) {
     RelaxationStats want_stats;
     auto want = reference.Answer(query, RelaxationStrategy::kGuided,
                                  &want_stats);
@@ -346,19 +325,63 @@ TEST_F(ShardedEngineTest, AnswersBitIdenticalUnderForcedScalarIsa) {
                              /*num_threads=*/4, /*packed=*/false);
 }
 
-TEST_F(ShardedEngineTest, ScatterThreadsDoNotChangeAnswers) {
-  const SelectionQuery probe =
-      MakeQuery({Predicate::Eq("Make", Value::Cat("Toyota"))});
-  auto expected = db_->ExecuteRows(probe);
-  ASSERT_TRUE(expected.ok());
-  ShardedEngineOptions sharding;
-  sharding.num_shards = 4;
-  sharding.scatter_threads = 3;
-  auto facade = ShardedWebDatabase::Create(*db_, sharding);
-  ASSERT_TRUE(facade.ok()) << facade.status().ToString();
-  auto actual = (*facade)->ExecuteRows(probe);
-  ASSERT_TRUE(actual.ok());
-  EXPECT_EQ(*actual, *expected);
+// Base-set trimming keeps the base_set_limit best base tuples by (score
+// desc, row asc). Here the base set outgrows the limit, its scores tie in a
+// few large groups whose rows span every shard boundary, and the cut falls
+// past the first boundary: which tied rows survive is decided by row-id
+// order across shards. Sharded answers must still match the serial
+// unsharded engine bit for bit.
+TEST_F(ShardedEngineTest, TiedBaseSetTrimAcrossShardBoundariesMatchesSerial) {
+  CarDbSpec spec;
+  spec.num_tuples = 600;
+  spec.seed = 11;
+  const Relation generated = CarDbGenerator(spec).Generate();
+  const Schema& schema = generated.schema();
+  const size_t make = *schema.IndexOf("Make");
+  const size_t model = *schema.IndexOf("Model");
+  const size_t price = *schema.IndexOf("Price");
+  // Every tenth row becomes a Camry at one of three prices, so Camrys tie
+  // in three price groups spread evenly over the whole row space.
+  Relation planted(schema);
+  for (size_t row = 0; row < generated.NumTuples(); ++row) {
+    Tuple t = generated.tuple(row);
+    if (row % 10 == 3) {
+      t.At(make) = Value::Cat("Toyota");
+      t.At(model) = Value::Cat("Camry");
+      t.At(price) = Value::Num(9000.0 + 1000.0 * static_cast<double>(
+                                                     (row / 10) % 3));
+    }
+    planted.AppendUnchecked(std::move(t));
+  }
+  WebDatabase db("CarDB", std::move(planted));
+  AimqOptions options = *options_;
+  options.base_set_limit = 40;
+  auto knowledge = BuildKnowledge(db, options);
+  ASSERT_TRUE(knowledge.ok()) << knowledge.status().ToString();
+
+  // Binding only Model, every Camry ties; the kept rows reach past the
+  // first boundary of both 3 shards (row 200) and 4 shards (row 150).
+  auto camrys =
+      db.ExecuteRows(MakeQuery({Predicate::Eq("Model", Value::Cat("Camry"))}));
+  ASSERT_TRUE(camrys.ok());
+  ASSERT_GT(camrys->size(), options.base_set_limit);
+  ASSERT_GE((*camrys)[options.base_set_limit - 1], 200u);
+
+  std::vector<ImpreciseQuery> queries(2);
+  queries[0].Bind("Model", Value::Cat("Camry"));
+  // No price ends in 50, so the base query generalizes and its answers
+  // tie within each price group.
+  queries[1].Bind("Model", Value::Cat("Camry"));
+  queries[1].Bind("Price", Value::Num(10050));
+
+  for (size_t shards : {1u, 3u, 4u}) {
+    for (size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shards=" << shards << " threads=" << threads);
+      ExpectShardedMatchesSerial(db, *knowledge, options, shards, threads,
+                                 /*packed=*/false, queries);
+    }
+  }
 }
 
 }  // namespace

@@ -103,49 +103,59 @@ TEST(WireTupleTest, RankedAnswerCarriesSimilarity) {
 }
 
 TEST(WireRequestTest, ParsesQueryRequest) {
-  auto req = ParseWireRequest(
-      R"js({"op":"query","q":"Q(Model like 'Camry')","deadline_ms":250,"id":7})js");
-  ASSERT_TRUE(req.ok()) << req.status().ToString();
-  EXPECT_EQ(req->op, WireRequest::Op::kQuery);
-  EXPECT_EQ(req->query_text, "Q(Model like 'Camry')");
-  EXPECT_EQ(req->deadline_ms, 250u);
-  EXPECT_TRUE(req->has_id);
-  EXPECT_DOUBLE_EQ(req->id, 7.0);
+  WireRequest req;
+  const Status status = ParseWireRequest(
+      R"js({"op":"query","q":"Q(Model like 'Camry')","deadline_ms":250,"id":7})js",
+      &req);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(req.op, WireRequest::Op::kQuery);
+  EXPECT_EQ(req.query_text, "Q(Model like 'Camry')");
+  EXPECT_EQ(req.deadline_ms, 250u);
+  EXPECT_TRUE(req.has_id);
+  EXPECT_DOUBLE_EQ(req.id, 7.0);
 }
 
 TEST(WireRequestTest, ParsesPingAndStats) {
-  auto ping = ParseWireRequest(R"js({"op":"ping"})js");
-  ASSERT_TRUE(ping.ok());
-  EXPECT_EQ(ping->op, WireRequest::Op::kPing);
-  EXPECT_FALSE(ping->has_id);
+  WireRequest ping;
+  ASSERT_TRUE(ParseWireRequest(R"js({"op":"ping"})js", &ping).ok());
+  EXPECT_EQ(ping.op, WireRequest::Op::kPing);
+  EXPECT_FALSE(ping.has_id);
   // The stats op is retired ({"op":"metrics"} serves the registry).
-  auto stats = ParseWireRequest(R"js({"op":"stats"})js");
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  WireRequest stats;
+  const Status status = ParseWireRequest(R"js({"op":"stats"})js", &stats);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(WireRequestTest, ParsesMetricsOp) {
-  auto req = ParseWireRequest(R"js({"op":"metrics","id":9})js");
-  ASSERT_TRUE(req.ok()) << req.status().ToString();
-  EXPECT_EQ(req->op, WireRequest::Op::kMetrics);
-  EXPECT_TRUE(req->has_id);
-  EXPECT_DOUBLE_EQ(req->id, 9.0);
+  WireRequest req;
+  const Status status =
+      ParseWireRequest(R"js({"op":"metrics","id":9})js", &req);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(req.op, WireRequest::Op::kMetrics);
+  EXPECT_TRUE(req.has_id);
+  EXPECT_DOUBLE_EQ(req.id, 9.0);
 }
 
 TEST(WireRequestTest, ParsesOptionalRequestId) {
-  auto req = ParseWireRequest(
-      R"js({"op":"query","q":"Q(Model like 'Camry')","request_id":42})js");
-  ASSERT_TRUE(req.ok()) << req.status().ToString();
-  EXPECT_EQ(req->request_id, 42u);
-  auto without = ParseWireRequest(
-      R"js({"op":"query","q":"Q(Model like 'Camry')"})js");
-  ASSERT_TRUE(without.ok());
-  EXPECT_EQ(without->request_id, 0u);  // 0 = service-assigned
+  WireRequest req;
+  const Status status = ParseWireRequest(
+      R"js({"op":"query","q":"Q(Model like 'Camry')","request_id":42})js",
+      &req);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(req.request_id, 42u);
+  WireRequest without;
+  ASSERT_TRUE(ParseWireRequest(
+                  R"js({"op":"query","q":"Q(Model like 'Camry')"})js",
+                  &without)
+                  .ok());
+  EXPECT_EQ(without.request_id, 0u);  // 0 = service-assigned
+  WireRequest bad;
   EXPECT_FALSE(ParseWireRequest(
-                   R"js({"op":"query","q":"x","request_id":-1})js")
+                   R"js({"op":"query","q":"x","request_id":-1})js", &bad)
                    .ok());
   EXPECT_FALSE(ParseWireRequest(
-                   R"js({"op":"query","q":"x","request_id":"abc"})js")
+                   R"js({"op":"query","q":"x","request_id":"abc"})js", &bad)
                    .ok());
 }
 
@@ -161,16 +171,18 @@ TEST(WireRequestTest, RejectsMalformedRequests) {
       R"js({"op":"query","q":"x","id":"seven"})js",      // non-numeric id
   };
   for (const char* line : kBad) {
-    EXPECT_FALSE(ParseWireRequest(line).ok()) << line;
+    WireRequest req;
+    EXPECT_FALSE(ParseWireRequest(line, &req).ok()) << line;
   }
 }
 
 TEST(WireRequestTest, ErrorResponseEchoesId) {
-  auto req =
-      ParseWireRequest(R"js({"op":"query","q":"Q(Bogus like x)","id":3})js");
-  ASSERT_TRUE(req.ok());
+  WireRequest req;
+  ASSERT_TRUE(ParseWireRequest(
+                  R"js({"op":"query","q":"Q(Bogus like x)","id":3})js", &req)
+                  .ok());
   const Json out =
-      MakeErrorResponse(*req, Status::NotFound("unknown attribute Bogus"));
+      MakeErrorResponse(req, Status::NotFound("unknown attribute Bogus"));
   EXPECT_EQ(
       out.Dump(),
       R"js({"id":3,"ok":false,"status":{"code":"NotFound","message":"unknown attribute Bogus"}})js");
